@@ -10,6 +10,7 @@ generator is re-verified against the graph before it leaves this module.
 import math
 
 from .graphs import InternalConsistencyError
+from .group import orbit_roots, order
 from .ssm import equal_form_runs, images_within, sibling_correspondence
 from .tree import INTERNAL, NON_SINGLETON_LEAF
 
@@ -66,54 +67,10 @@ def generators(at):
 def orbits(gens, n):
     """Vertex orbits under the given permutations, each orbit sorted, the
     list ordered by smallest member."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for gamma in gens:
-        for v in range(n):
-            a, b = find(v), find(gamma[v])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
     groups = {}
-    for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    return sorted(groups.values())
-
-
-def _leaf_group_order(gens, domain):
-    """Order of the group the leaf generators generate, by orbit-stabilizer:
-    orbit size of a moved point times the order of its stabilizer, with the
-    stabilizer presented through its Schreier generators."""
-    gens = [g for g in gens if any(g[v] != v for v in domain)]
-    if not gens:
-        return 1
-    base = min(v for v in domain if any(g[v] != v for g in gens))
-    transversal = {base: {v: v for v in domain}}
-    queue = [base]
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            y = g[x]
-            if y not in transversal:
-                transversal[y] = {v: g[w] for v, w in transversal[x].items()}
-                queue.append(y)
-    seen = set()
-    stabilizer = []
-    for x, t in transversal.items():
-        for g in gens:
-            through = {v: g[w] for v, w in t.items()}
-            back = {image: v for v, image in transversal[g[x]].items()}
-            s = {v: back[w] for v, w in through.items()}
-            key = tuple(sorted(s.items()))
-            if any(v != w for v, w in s.items()) and key not in seen:
-                seen.add(key)
-                stabilizer.append(s)
-    return len(transversal) * _leaf_group_order(stabilizer, domain)
+    for v, root in orbit_roots(gens, range(n)).items():
+        groups.setdefault(root, []).append(v)
+    return list(groups.values())
 
 
 def group_order(at):
@@ -121,14 +78,14 @@ def group_order(at):
     order and k! for every run of k equal-certificate siblings. Exact
     integers throughout."""
     _reject_reduced(at)
-    order = 1
+    total = 1
     for node in at.nodes():
         if node.kind == NON_SINGLETON_LEAF:
-            order *= _leaf_group_order(node.leaf_generators, node.vertices)
+            total *= order(node.leaf_generators, node.vertices)
         elif node.kind == INTERNAL:
             for run in equal_form_runs(node.children):
-                order *= math.factorial(len(run))
-    return order
+                total *= math.factorial(len(run))
+    return total
 
 
 def _count(node, part):
@@ -191,7 +148,5 @@ def are_automorphic(at, u, v):
             raise ValueError("vertex %d out of range" % w)
     if u == v:
         return True
-    for orbit in orbits(generators(at), at.graph.n):
-        if u in orbit:
-            return v in orbit
-    return False
+    roots = orbit_roots(generators(at), range(at.graph.n))
+    return roots[u] == roots[v]

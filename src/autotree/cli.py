@@ -123,10 +123,7 @@ def _parser():
     common.add_argument("--no-reduce", action="store_true",
                         help="disable structural-equivalence reduction")
     common.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="parallel subtree construction (default 1)")
-    common.add_argument("--seed", type=int, default=None, metavar="S",
-                        help="fix any randomized corpus sampling; the "
-                             "shipped commands are already deterministic")
+                        help="accepted for compatibility; has no effect")
     common.add_argument("--stats", action="store_true",
                         help="print wall time and peak memory to stderr")
 

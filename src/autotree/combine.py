@@ -42,21 +42,16 @@ def certificate(graph, coloring, gamma):
     return form_of(graph.edges(), gamma, colors)
 
 
-def combine_cl(graph, coloring):
-    """Labeling and certificate of a non-singleton leaf.
+def combine_cl_with_generators(graph, coloring):
+    """Labeling, certificate and verified automorphism generators of a
+    non-singleton leaf.
 
     Runs the base labeler on (graph, coloring), then maps each vertex to its
     cell's global position plus its rank within the cell under the base
     labeling.
     """
-    gamma, form, _ = combine_cl_with_generators(graph, coloring)
-    return gamma, form
-
-
-def combine_cl_with_generators(graph, coloring):
-    """combine_cl plus the leaf's verified automorphism generators."""
     if coloring.is_discrete():
-        raise ValueError("combine_cl expects a non-discrete coloring")
+        raise ValueError("a leaf needs a non-discrete coloring")
     gamma_star, _, gens = canonical_labeling_ir(graph.adj, coloring.cells)
     gamma = ranked_gamma(coloring, lambda v: gamma_star[v])
     return gamma, certificate(graph, coloring, gamma), gens

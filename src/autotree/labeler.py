@@ -14,6 +14,7 @@ leaf with the lexicographically smallest (invariant path, certificate) pair.
 from __future__ import annotations
 
 from .graphs import CanonicalForm, InternalConsistencyError
+from .group import orbit_roots
 from .refine import individualize, refine_cells
 
 
@@ -97,31 +98,21 @@ class _Search:
             return
         tried = []
         gen_mark = -1
-        parent = {}
         for v in target:
             if tried:
                 if gen_mark != len(self.gens):
-                    parent = self._orbit_forest(nu)
+                    # Generators that fix nu pointwise preserve the refined
+                    # partition, so the target cell is closed under them.
+                    roots = orbit_roots([g for g in self.gens
+                                         if all(g[x] == x for x in nu)], target)
                     gen_mark = len(self.gens)
-                root_v = _find(parent, v)
-                if any(_find(parent, u) == root_v for u in tried):
+                if any(roots[u] == roots[v] for u in tried):
                     continue
             tried.append(v)
             child_cells, at = individualize(cells, v)
             refined = refine_cells(self.adj, child_cells, active=[at])
             phi = _quotient_invariant(self.adj, refined)
             self._descend(refined, phi_path + (phi,), nu + (v,))
-
-    def _orbit_forest(self, nu):
-        parent = {}
-        fixed = set(nu)
-        for g in self.gens:
-            if all(g[x] == x for x in fixed):
-                for v, img in g.items():
-                    a, b = _find(parent, v), _find(parent, img)
-                    if a != b:
-                        parent[max(a, b)] = min(a, b)
-        return parent
 
     def _leaf(self, cells, phi_path):
         gamma, cert = _leaf_certificate(self.adj, cells, self.input_pos)
@@ -151,15 +142,6 @@ class _Search:
         _verify_generator(self.adj, self.input_pos, sigma)
         self._gen_keys.add(key)
         self.gens.append(sigma)
-
-
-def _find(parent, x):
-    root = x
-    while parent.get(root, root) != root:
-        root = parent[root]
-    while parent.get(x, x) != x:
-        parent[x], x = root, parent[x]
-    return root
 
 
 def canonical_labeling_ir(adj, cells):

@@ -10,7 +10,8 @@ explicit color-constrained matcher filtered by the leaf group's closure.
 
 import itertools
 
-from .graphs import InternalConsistencyError, compose_permutations
+from .graphs import InternalConsistencyError
+from .group import set_orbit
 from .tree import NON_SINGLETON_LEAF, SINGLETON_LEAF
 
 
@@ -30,22 +31,6 @@ def equal_form_runs(children):
         else:
             runs.append([i])
     return runs
-
-
-def _closure_images(seed, generators):
-    """Orbit of a vertex set under dict permutations, with a witness map
-    (seed vertex to image vertex) recorded for every set reached."""
-    start = frozenset(seed)
-    found = {start: {v: v for v in start}}
-    queue = [start]
-    while queue:
-        witness = found[queue.pop()]
-        for g in generators:
-            image = frozenset(g[v] for v in witness.values())
-            if image not in found:
-                found[image] = {v: g[w] for v, w in witness.items()}
-                queue.append(image)
-    return found
 
 
 def sm_leaf(leaf_graph, q_part, color_constraints, generators):
@@ -87,7 +72,7 @@ def sm_leaf(leaf_graph, q_part, color_constraints, generators):
     extend(0)
     if not matches:
         return set()
-    reachable = _closure_images(q_part, generators)
+    reachable = set_orbit(q_part, generators, ())
     return {s for s in matches if s in reachable}
 
 
@@ -105,12 +90,13 @@ def images_within(node, q):
         return {q: {v: v for v in q}}
     if node.kind == NON_SINGLETON_LEAF:
         colors = {v: node.coloring.global_pos[v] for v in node.vertices}
-        reachable = _closure_images(q, node.leaf_generators)
+        track = sorted(q)
+        reachable = set_orbit(q, node.leaf_generators, track)
         kept = sm_leaf(node.graph, q, colors, node.leaf_generators)
         if set(reachable) - kept:
             raise InternalConsistencyError(
                 "leaf matcher missed an image reachable by the leaf group")
-        return {s: reachable[s] for s in kept}
+        return {s: dict(zip(track, reachable[s])) for s in kept}
 
     children = node.children
     parts = {}
@@ -196,17 +182,7 @@ def ssm_with_witnesses(graph, q, at, generators):
     ssm result. Returns a dict mapping each frozenset to a permutation list.
     """
     expected = ssm(graph, q, at)
-    start = frozenset(q)
-    found = {start: list(range(graph.n))}
-    queue = [start]
-    while queue:
-        current = queue.pop()
-        perm = found[current]
-        for g in generators:
-            image = frozenset(g[v] for v in current)
-            if image not in found:
-                found[image] = compose_permutations(g, perm)
-                queue.append(image)
+    found = set_orbit(q, generators, range(graph.n))
     if set(found) != expected:
         raise InternalConsistencyError(
             "generator closure and tree recursion disagree on image sets")

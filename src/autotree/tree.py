@@ -16,7 +16,6 @@ extraction; the automorphisms module refuses them.
 """
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from hashlib import sha1
 
 from .combine import (certificate, combine_cl_with_generators, combine_st,
@@ -275,27 +274,14 @@ def _combine_subtree(root):
         stack.extend((ch, False) for ch in node.children)
 
 
-def _grow_and_combine(root, threads):
-    if threads > 1:
-        kids = list(_divide_node(root))
-        if kids:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(_grow, kids))
-                list(pool.map(_combine_subtree, kids))
-            _combine_node(root)
-            return
-    _grow(root)
-    _combine_subtree(root)
-
-
-def _build_carrier(sub, coloring, threads=1, graph=None, input_coloring=None):
+def _build_carrier(sub, coloring, graph, input_coloring):
     """Build without reduction on an arbitrary carrier (a Subgraph)."""
     root_cells = refine_cells(sub.adj, [list(c) for c in coloring.cells])
     root_coloring = Coloring(root_cells)
     root = AutoTreeNode(sub, root_coloring)
-    _grow_and_combine(root, threads)
-    return AutoTree(root, graph, input_coloring if input_coloring is not None else coloring,
-                    root_coloring, False)
+    _grow(root)
+    _combine_subtree(root)
+    return AutoTree(root, graph, input_coloring, root_coloring, False)
 
 
 def build(graph, coloring=None, reduce=True, threads=1):
@@ -304,8 +290,8 @@ def build(graph, coloring=None, reduce=True, threads=1):
     reduce (default on) applies the structural-equivalence reduction when it
     finds collapsible twins; certificates stay sound either way, but trees
     where reduction collapsed anything refuse automorphism extraction.
-    threads > 1 builds root subtrees in a thread pool; the result is
-    identical regardless.
+    threads is accepted for compatibility and has no effect: the build
+    runs on one thread.
     """
     if coloring is None:
         coloring = unit_coloring(graph.n)
@@ -317,9 +303,9 @@ def build(graph, coloring=None, reduce=True, threads=1):
     if reduce:
         gs, ps, classes = reduce_structural_equivalence(graph, coloring)
         if any(len(members) > 1 for members in classes.values()):
-            at_s = _build_carrier(gs, ps, threads, graph, coloring)
+            at_s = _build_carrier(gs, ps, graph, coloring)
             return expand_structural_equivalence(at_s, classes)
-    return _build_carrier(Subgraph.whole(graph), coloring, threads, graph, coloring)
+    return _build_carrier(Subgraph.whole(graph), coloring, graph, coloring)
 
 
 def reduce_structural_equivalence(graph, coloring):

@@ -10,8 +10,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from .graphs import CanonicalForm, Coloring, Graph, unit_coloring
-from .refine import refine
+from autotree.graphs import CanonicalForm, Coloring, Graph, unit_coloring
+from autotree.refine import refine
 
 BRUTE_LIMIT = 8
 EXHAUSTIVE_LIMIT = 6

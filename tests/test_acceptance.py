@@ -15,7 +15,7 @@ import pytest
 
 from autotree import build, canonical_form, generators, group_order, orbits
 from autotree.graphs import Coloring, Graph, apply_permutation, load_edge_list
-from autotree.oracle import (
+from oracle import (
     brute_aut,
     brute_canon_class_map,
     brute_group_order,

@@ -13,7 +13,7 @@ from autotree.automorphisms import (
     orbits,
 )
 from autotree.graphs import Coloring, Graph, apply_permutation
-from autotree.oracle import (
+from oracle import (
     brute_group_order,
     brute_orbits,
     brute_ssm,

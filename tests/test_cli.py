@@ -7,7 +7,7 @@ import pytest
 
 from autotree.cli import main
 from autotree.graphs import apply_permutation
-from autotree.oracle import random_permutation
+from oracle import random_permutation
 
 DATA = "tests/data"
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from autotree.graphs import Graph, apply_permutation, unit_coloring, Coloring
 from autotree.labeler import canonical_labeling_ir
-from autotree.oracle import (
+from oracle import (
     brute_canon,
     brute_canon_class_map,
     brute_group_order,
@@ -211,3 +211,32 @@ def test_distinguishes_nonisomorphic_pairs():
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     path = Graph(4, [(0, 1), (1, 2), (2, 3)])
     assert ir_form(star) != ir_form(path)
+
+
+def _assert_individualizes_at_most(monkeypatch, graph, limit):
+    import autotree.labeler as labeler
+    real = labeler.individualize
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        assert calls <= limit, "orbit pruning no longer cuts the search"
+        return real(*args)
+
+    monkeypatch.setattr(labeler, "individualize", counted)
+    canonical_labeling_ir(graph.adj, unit_coloring(graph.n).cells)
+
+
+def test_orbit_pruning_keeps_cocktail_party_search_small(monkeypatch):
+    # K_{8x2}: vertices v and v+8 are the non-adjacent pairs. Without P_C
+    # orbit pruning the search individualizes far more often.
+    g = Graph(16, [(u, v) for u in range(16) for v in range(u + 1, 16)
+                   if v != u + 8])
+    _assert_individualizes_at_most(monkeypatch, g, 205)
+
+
+def test_orbit_pruning_keeps_hypercube_search_small(monkeypatch):
+    q5 = Graph(32, [(u, u ^ (1 << i)) for u in range(32) for i in range(5)
+                    if u < u ^ (1 << i)])
+    _assert_individualizes_at_most(monkeypatch, q5, 40)

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from autotree.graphs import Coloring, Graph, apply_permutation, unit_coloring
-from autotree import oracle
+
+import oracle
 
 
 @st.composite

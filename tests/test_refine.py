@@ -1,7 +1,7 @@
 from hypothesis import given, settings, strategies as st
 
 from autotree.graphs import Coloring, Graph, apply_permutation, unit_coloring
-from autotree.oracle import graph_from_mask, random_permutation
+from oracle import graph_from_mask, random_permutation
 from autotree.refine import individualize, is_equitable, project, refine, refine_cells
 
 

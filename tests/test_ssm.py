@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from autotree.graphs import Graph, apply_permutation
-from autotree.oracle import (
+from oracle import (
     brute_aut,
     brute_group_order,
     brute_ssm,

@@ -6,7 +6,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from autotree.graphs import Coloring, Graph, apply_permutation, unit_coloring
-from autotree.oracle import (
+from oracle import (
     brute_aut,
     brute_canon,
     brute_canon_class_map,
