@@ -11,7 +11,8 @@ import math
 
 from .graphs import InternalConsistencyError
 from .group import orbit_roots, order
-from .ssm import equal_form_runs, images_within, sibling_correspondence
+from .ssm import (equal_form_runs, images_within, run_families,
+                  sibling_correspondence, split_query)
 from .tree import INTERNAL, NON_SINGLETON_LEAF
 
 
@@ -89,38 +90,16 @@ def group_order(at):
 
 
 def _count(node, part):
-    if node.kind == NON_SINGLETON_LEAF:
+    if node.kind != INTERNAL:
         return len(images_within(node, part))
-    if not node.children:
-        return 1
-    parts = {}
-    for i, child in enumerate(node.children):
-        piece = part.intersection(child.vertices)
-        if piece:
-            parts[i] = piece
     total = 1
+    parts = split_query(node, part)
     for run in equal_form_runs(node.children):
-        sources = [i for i in run if i in parts]
-        if not sources:
-            continue
-        first = node.children[run[0]]
-        classes = {}
-        for i in sources:
-            child = node.children[i]
-            family = images_within(child, parts[i])
-            if i == run[0]:
-                moved = frozenset(family)
-            else:
-                move = sibling_correspondence(child, first)
-                moved = frozenset(frozenset(move[x] for x in image)
-                                  for image in family)
-            classes.setdefault(moved, []).append(i)
-        k = len(run)
-        run_count = math.factorial(k) // math.factorial(k - len(sources))
-        for family, members in classes.items():
-            run_count //= math.factorial(len(members))
-            run_count *= len(family) ** len(members)
-        total *= run_count
+        free = len(run)
+        for group in run_families(node, run, parts):
+            total *= (math.comb(free, len(group))
+                      * len(group[0]) ** len(group))
+            free -= len(group)
     return total
 
 
@@ -128,9 +107,10 @@ def count_set_images(at, s):
     """How many distinct images the vertex set s has under the automorphism
     group, without listing them.
 
-    Within a run of k interchangeable siblings the query parts fall into
-    classes with equal transported image families; placements multiply a
-    multinomial over the class sizes by each family size per part."""
+    Within a run of interchangeable siblings the query parts fall into
+    groups with equal image families (ssm.run_families). A group of c parts
+    with family F, taking c of the free siblings left by earlier groups,
+    gives C(free, c) * |F|**c images."""
     _reject_reduced(at)
     s = frozenset(s)
     for v in s:

@@ -1,11 +1,12 @@
 """Symmetric subgraph matching: all images of a query vertex set under the
 automorphism group, read off a built tree.
 
-The tree drives the search. Children of an internal node that share a
-certificate are interchangeable, so per-child image families are transported
-along the label-aligned correspondences between siblings and reassembled,
-one target child per query part. Non-singleton leaves fall back to an
-explicit color-constrained matcher filtered by the leaf group's closure.
+Inside a non-singleton leaf, the images of a query part are its set orbit
+under the leaf group. Children of an internal node that share a certificate
+are interchangeable: the query parts on such a run are grouped by their
+image family, carried onto the run's first child, and each group takes an
+unordered set of siblings with one family image per part. Every image keeps
+a witness map from the query, and ssm re-checks each one against the graph.
 """
 
 import itertools
@@ -33,47 +34,56 @@ def equal_form_runs(children):
     return runs
 
 
-def sm_leaf(leaf_graph, q_part, color_constraints, generators):
-    """Vertex sets of a leaf that the query part can map onto.
+def sm_leaf(node, q):
+    """Images of q under the group of the non-singleton leaf node.
 
-    A backtracking matcher assigns each query vertex to a distinct leaf
-    vertex of the same color, keeping adjacency exactly (the match is
-    induced). Raw matches are then filtered down to sets the leaf group can
-    actually reach from q_part. Returns a set of frozensets.
+    They are the set orbit of q under the leaf generators, which the labeler
+    verified as color-preserving automorphisms of the leaf when it found
+    them. Returns a dict mapping each image (frozenset) to a witness dict
+    that sends every vertex of q to its spot in the image. q must lie inside
+    the leaf.
     """
-    order = sorted(q_part)
-    adjacency = {v: set(leaf_graph.adj[v]) for v in leaf_graph.vertices}
-    by_color = {}
-    for v in leaf_graph.vertices:
-        by_color.setdefault(color_constraints.get(v), []).append(v)
+    track = sorted(q)
+    return {image: dict(zip(track, spots))
+            for image, spots in set_orbit(q, node.leaf_generators,
+                                          track).items()}
 
-    matches = set()
-    assignment = {}
-    used = set()
 
-    def extend(i):
-        if i == len(order):
-            matches.add(frozenset(assignment.values()))
-            return
-        v = order[i]
-        for cand in by_color.get(color_constraints.get(v), ()):
-            if cand in used:
-                continue
-            if any((order[j] in adjacency.get(v, ()))
-                   != (assignment[order[j]] in adjacency[cand])
-                   for j in range(i)):
-                continue
-            assignment[v] = cand
-            used.add(cand)
-            extend(i + 1)
-            del assignment[v]
-            used.discard(cand)
+def split_query(node, q):
+    """The nonempty parts of q in node's children, by child index."""
+    return {i: part for i, child in enumerate(node.children)
+            if (part := q.intersection(child.vertices))}
 
-    extend(0)
-    if not matches:
-        return set()
-    reachable = set_orbit(q_part, generators, ())
-    return {s for s in matches if s in reachable}
+
+def _carry(family, move):
+    """Images with witnesses, moved along a vertex map."""
+    return {frozenset(move[x] for x in image):
+            {v: move[x] for v, x in witness.items()}
+            for image, witness in family.items()}
+
+
+def run_families(node, run, parts):
+    """The query parts on a run of interchangeable siblings, grouped by
+    image family.
+
+    Each part's images within its child are carried onto the run's first
+    child. Parts whose carried families hold the same images form a group;
+    families of different groups are disjoint set orbits. Returns the
+    groups in order of their first part, each a list with one carried
+    family per part: a dict from an image in the first child to a witness
+    sending the part into it.
+    """
+    first = node.children[run[0]]
+    groups = {}
+    for i in run:
+        if i not in parts:
+            continue
+        family = images_within(node.children[i], parts[i])
+        if i != run[0]:
+            family = _carry(family, sibling_correspondence(node.children[i],
+                                                           first))
+        groups.setdefault(frozenset(family), []).append(family)
+    return list(groups.values())
 
 
 def images_within(node, q):
@@ -89,51 +99,36 @@ def images_within(node, q):
     if node.kind == SINGLETON_LEAF:
         return {q: {v: v for v in q}}
     if node.kind == NON_SINGLETON_LEAF:
-        colors = {v: node.coloring.global_pos[v] for v in node.vertices}
-        track = sorted(q)
-        reachable = set_orbit(q, node.leaf_generators, track)
-        kept = sm_leaf(node.graph, q, colors, node.leaf_generators)
-        if set(reachable) - kept:
-            raise InternalConsistencyError(
-                "leaf matcher missed an image reachable by the leaf group")
-        return {s: dict(zip(track, reachable[s])) for s in kept}
+        return sm_leaf(node, q)
 
     children = node.children
-    parts = {}
-    for i, child in enumerate(children):
-        part = q.intersection(child.vertices)
-        if part:
-            parts[i] = part
-
+    parts = split_query(node, q)
     total = {frozenset(): {}}
     for run in equal_form_runs(children):
-        sources = [i for i in run if i in parts]
-        if not sources:
+        if parts.keys().isdisjoint(run):
             continue
-        families = {i: images_within(children[i], parts[i]) for i in sources}
-        maps = {}
-        for i in sources:
-            for t in run:
-                maps[i, t] = (None if t == i
-                              else sibling_correspondence(children[i], children[t]))
-        run_images = {}
-        for targets in itertools.permutations(run, len(sources)):
-            combos = [(frozenset(), {})]
-            for i, t in zip(sources, targets):
-                move = maps[i, t]
-                placed = []
-                for image, witness in families[i].items():
-                    if move is None:
-                        placed.append((image, witness))
-                    else:
-                        placed.append((frozenset(move[x] for x in image),
-                                       {v: move[x] for v, x in witness.items()}))
-                combos = [(s | img, {**w, **wit})
-                          for s, w in combos for img, wit in placed]
-            for s, w in combos:
-                run_images.setdefault(s, w)
+        groups = run_families(node, run, parts)
+        first = children[run[0]]
+        moves = {t: sibling_correspondence(first, children[t]) for t in run}
+        # Each group takes an unordered set of siblings no earlier group
+        # took, and every part of it one image of the family on its sibling.
+        placed = [(frozenset(), {}, ())]
+        for group in groups:
+            on = [{t: _carry(family, moves[t]) for t in run}
+                  for family in group]
+            grown = []
+            for image, witness, taken in placed:
+                free = [t for t in run if t not in taken]
+                for targets in itertools.combinations(free, len(group)):
+                    options = [(image, witness)]
+                    for carried, t in zip(on, targets):
+                        options = [(s | img, {**w, **wit})
+                                   for s, w in options
+                                   for img, wit in carried[t].items()]
+                    grown.extend((s, w, taken + targets) for s, w in options)
+            placed = grown
         total = {s | img: {**w, **wit}
-                 for s, w in total.items() for img, wit in run_images.items()}
+                 for s, w in total.items() for img, wit, _ in placed}
     return total
 
 
@@ -167,7 +162,10 @@ def ssm(graph, q, at):
         raise ValueError("query vertex %d out of range" % (
             q[0] if q[0] < 0 else q[-1]))
     found = images_within(at.root, frozenset(q))
-    for witness in found.values():
+    for image, witness in found.items():
+        if sorted(witness) != q or frozenset(witness.values()) != image:
+            raise InternalConsistencyError(
+                "image witness does not map the query onto its image")
         _verify_image(graph, at.coloring, witness)
     if frozenset(q) not in found:
         raise InternalConsistencyError("query missing from its own images")

@@ -23,7 +23,7 @@ LAYERS = (
 COUNTS = (
     "refine.project.cells_scanned", "tree.Subgraph.induced.vertices_scanned",
     "tree.nodes", "tree.non_singleton_leaves",
-    "automorphisms.generators.count", "ssm.images", "ssm.placements",
+    "automorphisms.generators.count", "ssm.images",
 )
 
 

@@ -1,11 +1,16 @@
 """Tests for symmetric subgraph matching against the brute-force oracle."""
 
+import importlib
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from autotree.graphs import Graph, apply_permutation
+from autotree.automorphisms import count_set_images, generators
+from autotree.cli import main
+from autotree.graphs import Graph, InternalConsistencyError, apply_permutation
+from autotree.group import set_orbit
 from oracle import (
     brute_aut,
     brute_group_order,
@@ -70,24 +75,18 @@ def test_mirror_fixture_images(mirror_graph):
 def test_sm_leaf_square_edge(hub_graph):
     at = build(hub_graph, reduce=False)
     leaf = find_leaf(at, (0, 1, 2, 3))
-    colors = {v: leaf.coloring.global_pos[v] for v in leaf.vertices}
-    found = sm_leaf(leaf.graph, {0, 1}, colors, leaf.leaf_generators)
-    assert found == sets([{0, 1}, {1, 2}, {2, 3}, {0, 3}])
+    found = sm_leaf(leaf, {0, 1})
+    assert set(found) == sets([{0, 1}, {1, 2}, {2, 3}, {0, 3}])
+    for image, witness in found.items():
+        assert sorted(witness) == [0, 1]
+        assert frozenset(witness.values()) == image
 
 
 def test_sm_leaf_whole_part_is_identity(hub_graph):
     at = build(hub_graph, reduce=False)
     leaf = find_leaf(at, (0, 1, 2, 3))
-    colors = {v: leaf.coloring.global_pos[v] for v in leaf.vertices}
-    found = sm_leaf(leaf.graph, {0, 1, 2, 3}, colors, leaf.leaf_generators)
-    assert found == {frozenset({0, 1, 2, 3})}
-
-
-def test_sm_leaf_unknown_vertex_matches_nothing(hub_graph):
-    at = build(hub_graph, reduce=False)
-    leaf = find_leaf(at, (0, 1, 2, 3))
-    colors = {v: leaf.coloring.global_pos[v] for v in leaf.vertices}
-    assert sm_leaf(leaf.graph, {99}, colors, leaf.leaf_generators) == set()
+    found = sm_leaf(leaf, {0, 1, 2, 3})
+    assert set(found) == {frozenset({0, 1, 2, 3})}
 
 
 def test_reduced_tree_is_rejected(hub_graph):
@@ -120,6 +119,45 @@ def test_witness_mode_agrees_and_verifies(hub_graph):
     for image, gamma in witnesses.items():
         assert {gamma[v] for v in (0, 4)} == image
         assert apply_permutation(hub_graph, gamma).adj == hub_graph.adj
+
+
+def test_witness_must_map_the_query_onto_its_image(hub_graph, monkeypatch,
+                                                  capsys, tmp_path):
+    # {5, 6} is a true image of {4, 5}, but its witness is the identity on
+    # the query: a valid partial isomorphism whose values are not the image.
+    def misfiled(node, q):
+        return {q: {v: v for v in q}, frozenset({5, 6}): {4: 4, 5: 5}}
+
+    # The package exports the function ssm under the module's name.
+    module = importlib.import_module("autotree.ssm")
+    monkeypatch.setattr(module, "images_within", misfiled)
+    at = build(hub_graph, reduce=False)
+    with pytest.raises(InternalConsistencyError):
+        ssm(hub_graph, {4, 5}, at)
+    query = tmp_path / "query.txt"
+    query.write_text("4 5\n")
+    assert main(["ssm", "tests/data/hub.el", str(query)]) == 3
+    assert "internal consistency error" in capsys.readouterr().err
+
+
+def test_star_run_with_many_parts_of_one_family():
+    star = Graph(25, [(0, v) for v in range(1, 25)])
+    at = build(star, reduce=False)
+    result = ssm(star, {1, 2, 3, 4}, at)
+    assert len(result) == math.comb(24, 4) == 10626
+    assert len(result) == count_set_images(at, {1, 2, 3, 4})
+    assert all(0 not in image for image in result)
+
+
+def test_hypercube_leaf_query_is_its_set_orbit():
+    q5 = Graph(32, [(v, v ^ (1 << b)) for v in range(32) for b in range(5)
+                    if v < v ^ (1 << b)])
+    at = build(q5, reduce=False)
+    q = {0, 3, 5, 6, 9}
+    result = ssm(q5, q, at)
+    assert len(result) == 640
+    assert result == set(set_orbit(q, generators(at), ()))
+    assert len(result) == count_set_images(at, q)
 
 
 def test_images_within_empty_slice_is_neutral(hub_graph):
