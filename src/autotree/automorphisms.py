@@ -16,14 +16,26 @@ from .ssm import (equal_form_runs, images_within, run_families,
 from .tree import INTERNAL, NON_SINGLETON_LEAF
 
 
-def _checked(graph, coloring, perm, what):
-    """Verify perm maps the colored graph onto itself before handing it out."""
-    for v in range(graph.n):
+def _checked(graph, coloring, moves, what):
+    """The permutation of the whole vertex range that sends each key of
+    moves to its value and fixes every other vertex, verified to map the
+    colored graph onto itself before it is handed out.
+
+    Colors and edges are checked at the keys of moves only. A fixed vertex
+    keeps its color, and an edge between two fixed vertices maps to itself;
+    every other edge has an end among the keys and is checked there. So the
+    check is as strong as one over the whole graph, but costs only the
+    keys' degrees on top of building the returned list.
+    """
+    perm = list(range(graph.n))
+    for v, image in moves.items():
+        perm[v] = image
+    for v in moves:
         if coloring.cell_index(v) != coloring.cell_index(perm[v]):
             raise InternalConsistencyError("%s moves a vertex across colors"
                                            % what)
-    for u in range(graph.n):
-        image = graph.adj[perm[u]]
+    for u in moves:
+        image = set(graph.adj[perm[u]])
         for w in graph.adj[u]:
             if perm[w] not in image:
                 raise InternalConsistencyError("%s breaks an edge" % what)
@@ -42,25 +54,19 @@ def generators(at):
     every adjacent pair of equal-certificate siblings."""
     _reject_reduced(at)
     graph, coloring = at.graph, at.coloring
-    n = graph.n
     gens = []
     for node in at.nodes():
         if node.kind == NON_SINGLETON_LEAF:
             for g in node.leaf_generators:
-                perm = list(range(n))
-                for v, image in g.items():
-                    perm[v] = image
-                gens.append(_checked(graph, coloring, perm, "leaf generator"))
+                gens.append(_checked(graph, coloring, g, "leaf generator"))
         elif node.kind == INTERNAL:
             for run in equal_form_runs(node.children):
                 for a, b in zip(run, run[1:]):
                     move = sibling_correspondence(node.children[a],
                                                   node.children[b])
-                    perm = list(range(n))
-                    for u, v in move.items():
-                        perm[u] = v
-                        perm[v] = u
-                    gens.append(_checked(graph, coloring, perm,
+                    swap = {v: u for u, v in move.items()}
+                    swap.update(move)
+                    gens.append(_checked(graph, coloring, swap,
                                          "sibling swap"))
     return gens
 

@@ -42,8 +42,7 @@ def _load_query(path):
 
 def cmd_canon(args):
     graph, coloring = _load(args, args.graph)
-    at = build(graph, coloring, reduce=not args.no_reduce,
-               threads=args.threads)
+    at = build(graph, coloring, reduce=not args.no_reduce)
     sys.stdout.write(at.root_form().serialize())
     return 0
 
@@ -52,10 +51,8 @@ def cmd_iso(args):
     graph_a, coloring_a = _load(args, args.graph_a)
     graph_b, coloring_b = _load(args, args.graph_b)
     reduce_flag = not args.no_reduce
-    form_a = build(graph_a, coloring_a, reduce=reduce_flag,
-                   threads=args.threads).root_form()
-    form_b = build(graph_b, coloring_b, reduce=reduce_flag,
-                   threads=args.threads).root_form()
+    form_a = build(graph_a, coloring_a, reduce=reduce_flag).root_form()
+    form_b = build(graph_b, coloring_b, reduce=reduce_flag).root_form()
     if form_a == form_b:
         print("ISOMORPHIC")
         return 0
@@ -65,7 +62,7 @@ def cmd_iso(args):
 
 def cmd_auto(args):
     graph, coloring = _load(args, args.graph)
-    at = build(graph, coloring, reduce=False, threads=args.threads)
+    at = build(graph, coloring, reduce=False)
     gens = generators(at)
     if gens:
         for gamma in gens:
@@ -78,7 +75,7 @@ def cmd_auto(args):
 
 def cmd_orbits(args):
     graph, coloring = _load(args, args.graph)
-    at = build(graph, coloring, reduce=False, threads=args.threads)
+    at = build(graph, coloring, reduce=False)
     partition = orbits(generators(at), graph.n)
     if partition:
         print(" | ".join(" ".join(str(v) for v in orbit)
@@ -90,7 +87,7 @@ def cmd_orbits(args):
 def cmd_ssm(args):
     graph, coloring = _load(args, args.graph)
     query = _load_query(args.query)
-    at = build(graph, coloring, reduce=False, threads=args.threads)
+    at = build(graph, coloring, reduce=False)
     if args.mappings:
         witnesses = ssm_with_witnesses(graph, query, at, generators(at))
         for image in sorted(witnesses, key=sorted):
@@ -104,8 +101,7 @@ def cmd_ssm(args):
 
 def cmd_tree_stats(args):
     graph, coloring = _load(args, args.graph)
-    at = build(graph, coloring, reduce=not args.no_reduce,
-               threads=args.threads)
+    at = build(graph, coloring, reduce=not args.no_reduce)
     stats = tree_stats(at)
     for key in ("nodes", "singleton_leaves", "non_singleton_leaves",
                 "avg_leaf_size", "depth"):
@@ -122,8 +118,6 @@ def _parser():
                         help="input format; default picks by file extension")
     common.add_argument("--no-reduce", action="store_true",
                         help="disable structural-equivalence reduction")
-    common.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="accepted for compatibility; has no effect")
     common.add_argument("--stats", action="store_true",
                         help="print wall time and peak memory to stderr")
 

@@ -21,7 +21,10 @@ def orbit_roots(gens, points):
 
     for g in gens:
         for v in parent:
-            a, b = find(v), find(g[v])
+            w = g[v]
+            if w == v:
+                continue
+            a, b = find(v), find(w)
             if a != b:
                 parent[max(a, b)] = min(a, b)
     return {v: find(v) for v in parent}

@@ -158,13 +158,18 @@ def project(coloring, vertices):
     """Restrict a coloring to a vertex subset.
 
     Cells keep their order, empty restrictions are dropped, and each kept
-    vertex retains its global position from the source coloring.
+    vertex retains its global position from the source coloring. Vertices
+    the coloring does not cover are dropped. Only the given vertices are
+    read, never the source's cells: each is bucketed by its cell index and
+    the buckets are emitted in cell order, so k vertices cost O(k log k).
     """
-    keep = set(vertices)
-    cells = []
-    for cell in coloring.cells:
-        sub = [v for v in cell if v in keep]
-        if sub:
-            cells.append(sub)
+    buckets = {}
+    for v in set(vertices):
+        try:
+            i = coloring.cell_index(v)
+        except KeyError:
+            continue
+        buckets.setdefault(i, []).append(v)
+    cells = [buckets[i] for i in sorted(buckets)]
     global_pos = {v: coloring.global_pos[v] for cell in cells for v in cell}
     return Coloring(cells, global_pos=global_pos)

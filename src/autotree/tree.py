@@ -42,9 +42,13 @@ class Subgraph:
         return cls(range(graph.n), {v: graph.adj[v] for v in range(graph.n)})
 
     def induced(self, keep):
+        """The subgraph induced by keep, which must lie inside this one.
+
+        Built from keep and its vertices' adjacency alone, so the cost
+        follows the child, not the parent.
+        """
         keep = set(keep)
-        kept = [v for v in self.vertices if v in keep]
-        return Subgraph(kept, {v: [u for u in self.adj[v] if u in keep] for v in kept})
+        return Subgraph(keep, {v: [u for u in self.adj[v] if u in keep] for v in keep})
 
     def edges(self):
         return [(v, u) for v in self.vertices for u in self.adj[v] if v < u]
@@ -284,14 +288,12 @@ def _build_carrier(sub, coloring, graph, input_coloring):
     return AutoTree(root, graph, input_coloring, root_coloring, False)
 
 
-def build(graph, coloring=None, reduce=True, threads=1):
+def build(graph, coloring=None, reduce=True):
     """Build the tree of a colored graph.
 
     reduce (default on) applies the structural-equivalence reduction when it
     finds collapsible twins; certificates stay sound either way, but trees
     where reduction collapsed anything refuse automorphism extraction.
-    threads is accepted for compatibility and has no effect: the build
-    runs on one thread.
     """
     if coloring is None:
         coloring = unit_coloring(graph.n)

@@ -28,3 +28,15 @@ def hub_graph():
 @pytest.fixture
 def mirror_graph():
     return Graph(13, mirror_edges())
+
+
+class _Unwalkable:
+    def __iter__(self):
+        raise AssertionError("walked a container the caller must not scan")
+
+
+@pytest.fixture
+def unwalkable():
+    """Stands in for a parent's vertex or cell list, to show that code which
+    should cost only what it produces never iterates it."""
+    return _Unwalkable()

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import autotree.cli
 from autotree.automorphisms import (
     are_automorphic,
     count_set_images,
@@ -12,7 +13,8 @@ from autotree.automorphisms import (
     group_order,
     orbits,
 )
-from autotree.graphs import Coloring, Graph, apply_permutation
+from autotree.graphs import (Coloring, Graph, InternalConsistencyError,
+                             apply_permutation)
 from oracle import (
     brute_group_order,
     brute_orbits,
@@ -21,11 +23,14 @@ from oracle import (
     random_graph,
     sampled_graphs,
 )
-from autotree.tree import build
+from autotree.tree import NON_SINGLETON_LEAF, build
 
 K4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 TRIANGLES = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
 ASYMMETRIC = Graph(6, [(0, 2), (0, 3), (0, 5), (1, 2), (1, 4), (2, 3)])
+TWO_SQUARES = Graph(8, [(0, 1), (1, 2), (2, 3), (0, 3),
+                        (4, 5), (5, 6), (6, 7), (4, 7)])
+TWO_PATHS = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
 
 
 def test_hub_group_order_and_orbits(hub_graph):
@@ -47,6 +52,61 @@ def test_generators_are_deterministic(hub_graph):
     first = generators(build(hub_graph, reduce=False))
     second = generators(build(hub_graph, reduce=False))
     assert first == second
+
+
+def _first_leaf(at):
+    return next(node for node in at.nodes() if node.kind == NON_SINGLETON_LEAF)
+
+
+def _leaf_breaking_an_edge(graph, coloring=None, reduce=False):
+    # The hub's leaf is the 4-cycle 0-1-2-3 in one cell. Swapping 0 and 1
+    # keeps colors but sends the edge 1-2 onto the non-edge 0-2.
+    at = build(graph, coloring, reduce=reduce)
+    _first_leaf(at).leaf_generators.append({0: 1, 1: 0, 2: 2, 3: 3})
+    return at
+
+
+def test_tampered_leaf_generator_breaking_an_edge_is_caught(hub_graph):
+    with pytest.raises(InternalConsistencyError,
+                       match="leaf generator breaks an edge"):
+        generators(_leaf_breaking_an_edge(hub_graph))
+
+
+def test_tampered_leaf_generator_moving_across_colors_is_caught():
+    # Swapping the two squares maps the graph onto itself but moves every
+    # vertex into the other square's cell; only the color check sees it.
+    at = build(TWO_SQUARES, Coloring([[0, 1, 2, 3], [4, 5, 6, 7]]),
+               reduce=False)
+    swap = {v: (v + 4) % 8 for v in range(8)}
+    assert (apply_permutation(TWO_SQUARES, [swap[v] for v in range(8)])
+            == TWO_SQUARES)
+    _first_leaf(at).leaf_generators.append(swap)
+    with pytest.raises(InternalConsistencyError,
+                       match="leaf generator moves a vertex across colors"):
+        generators(at)
+
+
+def test_tampered_sibling_swap_is_caught():
+    # Exchanging the labels of an end and the middle of the second path
+    # makes the root's sibling swap send a middle vertex onto an end.
+    at = build(TWO_PATHS, reduce=False)
+    second = at.root.children[1]
+    end, middle = 3, 4
+    assert set(second.vertices) == {3, 4, 5}
+    second.gamma[end], second.gamma[middle] = (second.gamma[middle],
+                                               second.gamma[end])
+    with pytest.raises(InternalConsistencyError,
+                       match="sibling swap breaks an edge"):
+        generators(at)
+
+
+def test_cli_auto_exits_3_on_a_tampered_tree(monkeypatch, capsys):
+    monkeypatch.setattr(autotree.cli, "build", _leaf_breaking_an_edge)
+    assert autotree.cli.main(["auto", "tests/data/hub.el"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("internal consistency error: leaf generator breaks an edge"
+            in captured.err)
 
 
 def test_hub_set_image_counts(hub_graph):

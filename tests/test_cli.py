@@ -42,16 +42,6 @@ def test_canon_invariant_under_relabeling(capsys, tmp_path, hub_graph):
     assert original == relabeled
 
 
-def test_canon_threads_do_not_change_output(capsys):
-    outputs = set()
-    for threads in ("1", "2", "4"):
-        code, out, _ = run(capsys, "canon", "--threads", threads,
-                           DATA + "/hub.el")
-        assert code == 0
-        outputs.add(out)
-    assert len(outputs) == 1
-
-
 def test_iso_verdicts(capsys, tmp_path):
     code, out, _ = run(capsys, "iso", DATA + "/hub.el", DATA + "/hub.el")
     assert (code, out) == (0, "ISOMORPHIC\n")

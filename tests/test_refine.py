@@ -113,3 +113,20 @@ def test_project_drops_empty_cells():
     sub = project(pi, [3, 4])
     assert sub.cells == ((3, 4),)
     assert sub.global_pos[3] == 3
+
+
+def test_project_drops_vertices_outside_the_coloring():
+    pi = Coloring([[0, 1], [2], [3, 4]])
+    sub = project(pi, [4, 9, 1, 7, 4])
+    assert sub.cells == ((1,), (4,))
+    assert sub.global_pos == {1: 0, 4: 3}
+    assert project(pi, [5, 6]).cells == ()
+
+
+def test_project_never_walks_the_source_cells(hub_graph, unwalkable):
+    pi = refine(hub_graph, unit_coloring(8))
+    expected = project(pi, [7, 2, 4])
+    pi.cells = unwalkable
+    sub = project(pi, [7, 2, 4])
+    assert sub.cells == expected.cells == ((2, 4), (7,))
+    assert sub.global_pos == expected.global_pos

@@ -387,16 +387,13 @@ def test_certificates_ignore_tie_break_direction(monkeypatch, hub_graph):
         assert build(g, reduce=flag).root_form() == form
 
 
-def test_threads_do_not_change_the_tree(hub_graph):
-    base = tree_signature(build(hub_graph, reduce=False).root)
-    rng = random.Random(11)
-    big = random_graph(rng, 30, 0.25)
-    big_form = build(big).root_form()
-    for threads in (2, 3):
-        at = build(hub_graph, reduce=False, threads=threads)
-        assert tree_signature(at.root) == base
-        assert build(big, threads=threads).root_form() == big_form
-    assert to_dot(build(hub_graph, threads=2)) == to_dot(build(hub_graph))
+def test_induced_never_walks_the_parent_vertices(hub_graph, unwalkable):
+    whole = Subgraph.whole(hub_graph)
+    expected = whole.induced([6, 4, 7])
+    whole.vertices = unwalkable
+    sub = whole.induced([6, 4, 7])
+    assert sub.vertices == expected.vertices == (4, 6, 7)
+    assert sub.adj == expected.adj == {4: (6, 7), 6: (4, 7), 7: (4, 6)}
 
 
 def test_to_dot_lists_every_node(hub_graph):
