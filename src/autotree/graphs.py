@@ -271,40 +271,47 @@ def load_dimacs(text):
     edge_lines = 0
     edges = set()
     colors = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if n is not None:
-                raise ParseError("line %d: duplicate problem line" % lineno)
-            if len(parts) != 4 or parts[1] != "edge":
-                raise ParseError("line %d: malformed problem line %r" % (lineno, raw))
-            n, declared_m = int(parts[2]), int(parts[3])
-        elif parts[0] == "e":
-            if n is None:
-                raise ParseError("line %d: edge before problem line" % lineno)
-            if len(parts) != 3:
-                raise ParseError("line %d: malformed edge line %r" % (lineno, raw))
-            u, v = int(parts[1]), int(parts[2])
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError("line %d: vertex out of range" % lineno)
-            edge_lines += 1
-            if u != v:
-                u, v = u - 1, v - 1
-                edges.add((u, v) if u < v else (v, u))
-        elif parts[0] == "n":
-            if n is None:
-                raise ParseError("line %d: color before problem line" % lineno)
-            if len(parts) != 3:
-                raise ParseError("line %d: malformed color line %r" % (lineno, raw))
-            v, c = int(parts[1]), int(parts[2])
-            if not (1 <= v <= n):
-                raise ParseError("line %d: vertex out of range" % lineno)
-            colors[v - 1] = c
-        else:
-            raise ParseError("line %d: unknown record %r" % (lineno, raw))
+    try:
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            line = raw.strip()
+            if not line or line.startswith("c"):
+                continue
+            parts = line.split()
+            if parts[0] == "p":
+                if n is not None:
+                    raise ParseError("line %d: duplicate problem line" % lineno)
+                if len(parts) != 4 or parts[1] != "edge":
+                    raise ParseError("line %d: malformed problem line %r" % (lineno, raw))
+                n, declared_m = int(parts[2]), int(parts[3])
+                if n < 0 or declared_m < 0:
+                    raise ParseError("line %d: negative count in %r" % (lineno, raw))
+            elif parts[0] == "e":
+                if n is None:
+                    raise ParseError("line %d: edge before problem line" % lineno)
+                if len(parts) != 3:
+                    raise ParseError("line %d: malformed edge line %r" % (lineno, raw))
+                u, v = int(parts[1]), int(parts[2])
+                if not (1 <= u <= n and 1 <= v <= n):
+                    raise ParseError("line %d: vertex out of range" % lineno)
+                edge_lines += 1
+                if u != v:
+                    u, v = u - 1, v - 1
+                    edges.add((u, v) if u < v else (v, u))
+            elif parts[0] == "n":
+                if n is None:
+                    raise ParseError("line %d: color before problem line" % lineno)
+                if len(parts) != 3:
+                    raise ParseError("line %d: malformed color line %r" % (lineno, raw))
+                v, c = int(parts[1]), int(parts[2])
+                if not (1 <= v <= n):
+                    raise ParseError("line %d: vertex out of range" % lineno)
+                colors[v - 1] = c
+            else:
+                raise ParseError("line %d: unknown record %r" % (lineno, raw))
+    except ValueError:
+        # int() met a token that is not an integer.
+        raise ParseError("line %d: expected integers, got %r"
+                         % (lineno, raw)) from None
     if n is None:
         raise ParseError("missing problem line")
     if edge_lines != declared_m:

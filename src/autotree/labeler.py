@@ -78,10 +78,21 @@ class _Search:
 
     def run(self, root_cells):
         phi = _quotient_invariant(self.adj, root_cells)
-        self._descend(root_cells, (phi,), ())
+        # One _descend generator per open search node, kept on an explicit
+        # stack, so the search depth is not bounded by the recursion limit.
+        stack = [self._descend(root_cells, (phi,), ())]
+        while stack:
+            child = next(stack[-1], None)
+            if child is None:
+                stack.pop()
+            else:
+                stack.append(self._descend(*child))
         return self.best
 
     def _descend(self, cells, phi_path, nu):
+        """Visit a search node, then yield the arguments of each child
+        that orbit pruning keeps, after the previous child's subtree is
+        done."""
         self.nodes_visited += 1
         if self.ref_path is not None:
             d = len(phi_path)
@@ -112,7 +123,7 @@ class _Search:
             child_cells, at = individualize(cells, v)
             refined = refine_cells(self.adj, child_cells, active=[at])
             phi = _quotient_invariant(self.adj, refined)
-            self._descend(refined, phi_path + (phi,), nu + (v,))
+            yield refined, phi_path + (phi,), nu + (v,)
 
     def _leaf(self, cells, phi_path):
         gamma, cert = _leaf_certificate(self.adj, cells, self.input_pos)

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from autotree.graphs import Graph
@@ -40,3 +42,27 @@ def unwalkable():
     """Stands in for a parent's vertex or cell list, to show that code which
     should cost only what it produces never iterates it."""
     return _Unwalkable()
+
+
+@pytest.fixture
+def twin_cycle_60():
+    """C_60[2K1]: the cycle C_60 with each vertex doubled into two
+    non-adjacent open twins. Its IR search individualizes 60 times on one
+    path, and its group has order 2^60 * 120."""
+    m = 60
+    return Graph(2 * m, [(2 * i + a, 2 * ((i + 1) % m) + b)
+                         for i in range(m) for a in (0, 1) for b in (0, 1)])
+
+
+@pytest.fixture
+def shallow_recursion():
+    """Lower the recursion limit to 30 frames above the caller's depth,
+    fewer than a search that recurses once per individualization needs on
+    twin_cycle_60."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 30)
+    yield
+    sys.setrecursionlimit(saved)

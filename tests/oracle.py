@@ -133,6 +133,22 @@ def brute_ssm(graph, q, coloring=None, limit=BRUTE_LIMIT):
             for gamma in brute_aut(graph, coloring, limit)}
 
 
+def closure_order(n, gens):
+    """Size of the permutation group generated by gens (as vertex dicts)."""
+    ident = tuple(range(n))
+    perms = [tuple(g.get(v, v) for v in range(n)) for g in gens]
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        cur = frontier.pop()
+        for p in perms:
+            nxt = tuple(p[cur[v]] for v in range(n))
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return len(seen)
+
+
 def pair_list(n):
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 

@@ -175,6 +175,15 @@ def test_malformed_dimacs_exits_2(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_orbits_on_a_deep_search(capsys, tmp_path, twin_cycle_60,
+                                 shallow_recursion):
+    path = write_edges(tmp_path / "twins.el", twin_cycle_60.edges())
+    code, out, err = run(capsys, "orbits", path)
+    assert code == 0, err
+    assert out == "%s\norder %d\n" % (" ".join(map(str, range(120))),
+                                       2 ** 60 * 120)
+
+
 def test_stats_line_goes_to_stderr(capsys):
     code, out, err = run(capsys, "canon", "--stats", DATA + "/hub.el")
     assert code == 0

@@ -152,6 +152,19 @@ def test_dimacs_errors():
         load_dimacs("")
 
 
+@pytest.mark.parametrize("text, line", [
+    ("p edge 2.5 0\n", 1),
+    ("p edge 2 x\n", 1),
+    ("p edge 2 1\ne 1 x\n", 2),
+    ("c note\np edge 2 0\nn 2 x\n", 3),
+    ("p edge -2 0\n", 1),
+    ("p edge 2 -1\n", 1),
+])
+def test_dimacs_bad_numbers_name_the_line(text, line):
+    with pytest.raises(ParseError, match="^line %d: " % line):
+        load_dimacs(text)
+
+
 def test_load_graph_picks_format_by_extension(tmp_path):
     p = tmp_path / "g.dimacs"
     p.write_text("p edge 2 1\ne 1 2\n")

@@ -4,12 +4,14 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from autotree.graphs import Graph, apply_permutation, unit_coloring, Coloring
+from autotree.group import order
 from autotree.labeler import canonical_labeling_ir
 from oracle import (
     brute_canon,
     brute_canon_class_map,
     brute_group_order,
     brute_orbits,
+    closure_order,
     enumerate_graphs,
     mask_from_graph,
     random_permutation,
@@ -21,22 +23,6 @@ def ir_form(graph, coloring=None):
     cells = (coloring or unit_coloring(graph.n)).cells
     _, form, _ = canonical_labeling_ir(graph.adj, cells)
     return form
-
-
-def closure_order(n, gens):
-    """Size of the permutation group generated by gens (as vertex dicts)."""
-    ident = tuple(range(n))
-    perms = [tuple(g.get(v, v) for v in range(n)) for g in gens]
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        cur = frontier.pop()
-        for p in perms:
-            nxt = tuple(p[cur[v]] for v in range(n))
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return len(seen)
 
 
 def orbits_from_gens(n, gens):
@@ -240,3 +226,10 @@ def test_orbit_pruning_keeps_hypercube_search_small(monkeypatch):
     q5 = Graph(32, [(u, u ^ (1 << i)) for u in range(32) for i in range(5)
                     if u < u ^ (1 << i)])
     _assert_individualizes_at_most(monkeypatch, q5, 40)
+
+
+def test_deep_search_does_not_recurse(twin_cycle_60, shallow_recursion):
+    g = twin_cycle_60
+    gamma, _, gens = canonical_labeling_ir(g.adj, unit_coloring(g.n).cells)
+    assert sorted(gamma.values()) == list(range(g.n))
+    assert order(gens, range(g.n)) == 2 ** 60 * 120
