@@ -7,8 +7,14 @@ read as labelings. Three prunings keep the tree small: subtrees whose node
 invariant differs from the leftmost path and is worse than the best path are
 cut (P_A and P_B), and target vertices in the same discovered orbit as an
 already-explored sibling are skipped when the discovered automorphisms fix
-the current individualization sequence pointwise (P_C). The result is the
-leaf with the lexicographically smallest (invariant path, certificate) pair.
+the current individualization sequence pointwise (P_C). A leaf whose
+certificate equals the first or the best leaf's yields an automorphism that
+maps that leaf's path onto its own, so the search backjumps to the depth
+where the two paths part (McKay 1981): the open subtree below is the image
+of one already searched, and its leaves repeat (invariant path,
+certificate) pairs already seen, so the certificate does not change. The
+result is the leaf with the lexicographically smallest (invariant path,
+certificate) pair.
 """
 
 from __future__ import annotations
@@ -68,13 +74,12 @@ class _Search:
     def __init__(self, adj, input_pos):
         self.adj = adj
         self.input_pos = input_pos
-        self.ref_path = None
-        self.ref_cert = None
-        self.ref_gamma = None
-        self.best = None  # (phi_path, cert, gamma)
+        # (phi_path, cert, gamma, nu) of the first leaf and of the best one
+        self.first = None
+        self.best = None
         self.gens = []
         self._gen_keys = set()
-        self.nodes_visited = 0
+        self.jump = None  # depth to backjump to, set by _leaf
 
     def run(self, root_cells):
         phi = _quotient_invariant(self.adj, root_cells)
@@ -85,6 +90,9 @@ class _Search:
             child = next(stack[-1], None)
             if child is None:
                 stack.pop()
+                if self.jump is not None:
+                    del stack[self.jump + 1:]
+                    self.jump = None
             else:
                 stack.append(self._descend(*child))
         return self.best
@@ -93,11 +101,10 @@ class _Search:
         """Visit a search node, then yield the arguments of each child
         that orbit pruning keeps, after the previous child's subtree is
         done."""
-        self.nodes_visited += 1
-        if self.ref_path is not None:
+        if self.first is not None:
             d = len(phi_path)
-            matches_ref = phi_path == self.ref_path[:d]
-            if not matches_ref and phi_path > self.best[0][:d]:
+            on_first = phi_path == self.first[0][:d]
+            if not on_first and phi_path > self.best[0][:d]:
                 return
         target = None
         for cell in cells:
@@ -105,7 +112,7 @@ class _Search:
                 target = cell
                 break
         if target is None:
-            self._leaf(cells, phi_path)
+            self._leaf(cells, phi_path, nu)
             return
         tried = []
         gen_mark = -1
@@ -125,20 +132,24 @@ class _Search:
             phi = _quotient_invariant(self.adj, refined)
             yield refined, phi_path + (phi,), nu + (v,)
 
-    def _leaf(self, cells, phi_path):
+    def _leaf(self, cells, phi_path, nu):
         gamma, cert = _leaf_certificate(self.adj, cells, self.input_pos)
-        if self.ref_path is None:
-            self.ref_path = phi_path
-            self.ref_cert = cert
-            self.ref_gamma = gamma
-            self.best = (phi_path, cert, gamma)
+        if self.first is None:
+            self.first = self.best = (phi_path, cert, gamma, nu)
             return
-        if cert == self.ref_cert:
-            self._record_automorphism(self.ref_gamma, gamma)
-        elif cert == self.best[1]:
-            self._record_automorphism(self.best[2], gamma)
+        for _, other_cert, other_gamma, other_nu in (self.first, self.best):
+            if cert == other_cert:
+                self._record_automorphism(other_gamma, gamma)
+                # The automorphism fixes the two paths' common prefix and
+                # maps the rest of the other path onto nu: backjump to the
+                # depth where they part.
+                d = 0
+                while nu[d] == other_nu[d]:
+                    d += 1
+                self.jump = d
+                break
         if (phi_path, cert) < (self.best[0], self.best[1]):
-            self.best = (phi_path, cert, gamma)
+            self.best = (phi_path, cert, gamma, nu)
 
     def _record_automorphism(self, gamma_a, gamma_b):
         by_label = {}
@@ -177,7 +188,7 @@ def canonical_labeling_ir(adj, cells):
     root_cells = refine_cells(adj, cells)
     search = _Search(adj, input_pos)
     best = search.run(root_cells)
-    _, (colors, edges), gamma = best
+    _, (colors, edges), gamma, _ = best
     form = CanonicalForm(
         [(lab, colors[lab]) for lab in range(len(colors))], edges)
     return dict(gamma), form, search.gens

@@ -3,8 +3,9 @@
 tests/data/golden/cli.json holds the stdout and exit code of every
 subcommand on every file in tests/data, with and without --no-reduce, plus
 ssm and ssm --mappings on three fixed queries. The file pins generator
-lines and witness cycles, which no other test compares exactly. Regenerate
-it only for an intended change of output:
+lines and witness cycles, which no other test compares exactly, and every
+`auto` case's generator lines must generate a group of its `order` line.
+Regenerate it only for an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -19,6 +20,7 @@ import tempfile
 import pytest
 
 from autotree.cli import main
+from oracle import closure_order
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 GOLDEN = os.path.join(DATA, "golden", "cli.json")
@@ -73,6 +75,26 @@ def test_cli_output_matches_golden(name, golden, tmp_path):
 
 def test_golden_covers_exactly_the_cases(golden):
     assert sorted(golden) == sorted(cases())
+
+
+def _parse_cycles(line):
+    """The permutation dict of a line in cycle notation, e.g. "(0,2)(4,5)"."""
+    perm = {}
+    for cycle in line[1:-1].split(")("):
+        if cycle:
+            points = [int(v) for v in cycle.split(",")]
+            perm.update(zip(points, points[1:] + points[:1]))
+    return perm
+
+
+@pytest.mark.parametrize("name", sorted(n for n in cases()
+                                        if n.startswith("auto ")))
+def test_golden_generators_generate_the_golden_order(name, golden):
+    *lines, last = golden[name]["stdout"].splitlines()
+    assert last.startswith("order ")
+    gens = [_parse_cycles(line) for line in lines]
+    n = 1 + max((v for g in gens for v in g), default=0)
+    assert closure_order(n, gens) == int(last.split()[1])
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Tests for group.order, the Schreier–Sims group order of a leaf's
 generators: closed-form orders of symmetric graph families, independence
 from how redundant or how ordered the generating set is, and both accepted
-permutation forms."""
+permutation forms. The closed-form tests also bound the labeler's
+generating set by log2 of the group order."""
 
 import functools
 import math
@@ -56,6 +57,7 @@ def leaf(family, size, seed=None):
 def test_cocktail_party_order(k):
     gens, vertices = leaf(cocktail_party, k)
     assert order(gens, vertices) == 2 ** k * math.factorial(k)
+    assert len(gens) <= math.log2(2 ** k * math.factorial(k))
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2])
@@ -63,12 +65,14 @@ def test_cocktail_party_order(k):
 def test_hypercube_order(d, seed):
     gens, vertices = leaf(hypercube, d, seed)
     assert order(gens, vertices) == 2 ** d * math.factorial(d)
+    assert len(gens) <= math.log2(2 ** d * math.factorial(d))
 
 
 @pytest.mark.parametrize("p", [13, 29, 61])
 def test_paley_order(p):
     gens, vertices = leaf(paley, p)
     assert order(gens, vertices) == p * (p - 1) // 2
+    assert len(gens) <= math.log2(p * (p - 1) // 2)
 
 
 def _product(g, h):

@@ -207,25 +207,43 @@ def _assert_individualizes_at_most(monkeypatch, graph, limit):
     def counted(*args):
         nonlocal calls
         calls += 1
-        assert calls <= limit, "orbit pruning no longer cuts the search"
+        assert calls <= limit, (
+            "orbit pruning or the backjump no longer cuts the search")
         return real(*args)
 
     monkeypatch.setattr(labeler, "individualize", counted)
     canonical_labeling_ir(graph.adj, unit_coloring(graph.n).cells)
 
 
+def _hypercube(d):
+    n = 1 << d
+    return Graph(n, [(u, u ^ (1 << i)) for u in range(n) for i in range(d)
+                     if u < u ^ (1 << i)])
+
+
 def test_orbit_pruning_keeps_cocktail_party_search_small(monkeypatch):
     # K_{8x2}: vertices v and v+8 are the non-adjacent pairs. Without P_C
-    # orbit pruning the search individualizes far more often.
+    # orbit pruning and the backjump after each automorphism leaf, the
+    # search individualizes far more often (205 times with pruning alone).
     g = Graph(16, [(u, v) for u in range(16) for v in range(u + 1, 16)
                    if v != u + 8])
-    _assert_individualizes_at_most(monkeypatch, g, 205)
+    _assert_individualizes_at_most(monkeypatch, g, 44)
 
 
 def test_orbit_pruning_keeps_hypercube_search_small(monkeypatch):
-    q5 = Graph(32, [(u, u ^ (1 << i)) for u in range(32) for i in range(5)
-                    if u < u ^ (1 << i)])
-    _assert_individualizes_at_most(monkeypatch, q5, 40)
+    # 40 individualizations with orbit pruning alone.
+    _assert_individualizes_at_most(monkeypatch, _hypercube(5), 20)
+
+
+def test_backjump_keeps_relabeled_hypercube_search_small(monkeypatch):
+    # Q6 under the benchmark's fixed relabeling. Orbit pruning alone
+    # individualizes 765 times here: most automorphism leaves lie deep in
+    # subtrees that are images of ones already searched.
+    q6 = _hypercube(6)
+    perm = list(range(q6.n))
+    random.Random("hypercube").shuffle(perm)
+    g = Graph(q6.n, [(perm[u], perm[v]) for u, v in q6.edges()])
+    _assert_individualizes_at_most(monkeypatch, g, 33)
 
 
 def test_deep_search_does_not_recurse(twin_cycle_60, shallow_recursion):
