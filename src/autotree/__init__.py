@@ -26,7 +26,7 @@ from .graphs import (
     unit_coloring,
 )
 from .labeler import canonical_labeling_ir
-from .refine import individualize, is_equitable, refine
+from .refine import individualize
 from .ssm import sm_leaf, ssm, ssm_with_witnesses
 from .tree import AutoTree, AutoTreeNode, build, to_dot, tree_stats
 
@@ -64,12 +64,10 @@ __all__ = [
     "identity_permutation",
     "individualize",
     "invert_permutation",
-    "is_equitable",
     "load_dimacs",
     "load_edge_list",
     "load_graph",
     "orbits",
-    "refine",
     "sm_leaf",
     "ssm",
     "ssm_with_witnesses",

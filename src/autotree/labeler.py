@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .graphs import CanonicalForm, InternalConsistencyError
 from .group import orbit_roots
-from .refine import individualize, refine_cells
+from .refine import index_carrier, individualize, refine_cells
 
 
 def _quotient_invariant(adj, cells):
@@ -174,11 +174,16 @@ def canonical_labeling_ir(adj, cells):
     gamma maps each vertex to a label in 0..k-1, form is the certificate of
     the relabeled graph (colors taken from input cell positions), and
     generators are verified automorphism dicts of the colored carrier.
+
+    The search runs on the carrier mapped once by index_carrier, so every
+    table it and refine_cells keep is a list of carrier size; since the map
+    keeps the order of ids, the search visits the same nodes as on the ids.
     """
-    cells = [list(c) for c in cells]
     if not cells:
         return {}, CanonicalForm([], []), []
-    input_pos = {}
+    verts, index, adj = index_carrier(adj, [v for cell in cells for v in cell])
+    cells = [[index[v] for v in cell] for cell in cells]
+    input_pos = [0] * len(verts)
     offset = 0
     for cell in cells:
         for v in cell:
@@ -191,4 +196,5 @@ def canonical_labeling_ir(adj, cells):
     _, (colors, edges), gamma, _ = best
     form = CanonicalForm(
         [(lab, colors[lab]) for lab in range(len(colors))], edges)
-    return dict(gamma), form, search.gens
+    gens = [{verts[v]: verts[img] for v, img in g.items()} for g in search.gens]
+    return {verts[v]: lab for v, lab in gamma.items()}, form, gens

@@ -9,13 +9,131 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 from autotree.graphs import CanonicalForm, Coloring, Graph, unit_coloring
-from autotree.refine import refine
+from autotree.refine import refine_cells
 
 BRUTE_LIMIT = 8
 EXHAUSTIVE_LIMIT = 6
 SAMPLE_LIMIT = 12
+
+
+def reference_refine_cells(adj, cells, active=None):
+    """The dict-and-order-list refinement that refine_cells replaced, kept
+    as the differential reference: same arguments, same ordered output.
+
+    Every split step re-buckets each member of every touched cell, renames
+    every moved vertex and rebuilds the whole cell order, so one call costs
+    cells x splits.
+    """
+    cellmap = {}
+    order = []
+    cell_of = {}
+    for i, cell in enumerate(cells):
+        members = sorted(cell)
+        if not members:
+            raise ValueError("empty cell at index %d" % i)
+        cellmap[i] = members
+        order.append(i)
+        for v in members:
+            cell_of[v] = i
+    next_id = len(order)
+
+    if active is None:
+        queue = deque(order)
+    else:
+        queue = deque(active)
+    in_queue = set(queue)
+
+    while queue:
+        w = queue.popleft()
+        in_queue.discard(w)
+        if w not in cellmap:
+            continue
+        cnt = {}
+        for u in cellmap[w]:
+            for x in adj[u]:
+                cnt[x] = cnt.get(x, 0) + 1
+        touched = set(cell_of[x] for x in cnt)
+        splits = {}
+        for cid in touched:
+            members = cellmap[cid]
+            if len(members) == 1:
+                continue
+            buckets = {}
+            for v in members:
+                buckets.setdefault(cnt.get(v, 0), []).append(v)
+            if len(buckets) > 1:
+                splits[cid] = [buckets[k] for k in sorted(buckets)]
+        if not splits:
+            continue
+
+        new_order = []
+        for cid in order:
+            if cid not in splits:
+                new_order.append(cid)
+                continue
+            parts = splits[cid]
+            part_ids = []
+            for part in parts:
+                pid = next_id
+                next_id += 1
+                cellmap[pid] = part
+                for v in part:
+                    cell_of[v] = pid
+                part_ids.append(pid)
+            del cellmap[cid]
+            new_order.extend(part_ids)
+            if cid in in_queue:
+                in_queue.discard(cid)
+                for pid in part_ids:
+                    queue.append(pid)
+                    in_queue.add(pid)
+            else:
+                sizes = [len(cellmap[pid]) for pid in part_ids]
+                skip = sizes.index(max(sizes))
+                for k, pid in enumerate(part_ids):
+                    if k != skip:
+                        queue.append(pid)
+                        in_queue.add(pid)
+        order = new_order
+
+    return tuple(tuple(cellmap[cid]) for cid in order)
+
+
+def refine(graph, coloring):
+    """Coarsest equitable refinement of a coloring, as a Coloring.
+
+    Accepts a Graph (or any object with .adj). Positions are recomputed from
+    the refined cells; callers that need to keep positions inherited from an
+    enclosing coloring should work with refine_cells directly.
+    """
+    adj = graph.adj if hasattr(graph, "adj") else graph
+    cells = refine_cells(adj, [list(c) for c in coloring.cells])
+    return Coloring(cells)
+
+
+def is_equitable(graph, coloring):
+    """True when every cell sees every cell with a uniform neighbor count."""
+    adj = graph.adj if hasattr(graph, "adj") else graph
+    cell_of = {}
+    for i, cell in enumerate(coloring.cells):
+        for v in cell:
+            cell_of[v] = i
+    reference = {}
+    for i, cell in enumerate(coloring.cells):
+        for v in cell:
+            sig = {}
+            for u in adj[v]:
+                j = cell_of[u]
+                sig[j] = sig.get(j, 0) + 1
+            if i in reference:
+                if reference[i] != sig:
+                    return False
+            else:
+                reference[i] = sig
+    return True
 
 
 def _guard(n, limit=BRUTE_LIMIT):

@@ -1,8 +1,15 @@
+import importlib.util
+import os
+import random
+import time
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from autotree.graphs import Coloring, Graph, apply_permutation, unit_coloring
-from oracle import graph_from_mask, random_permutation
-from autotree.refine import individualize, is_equitable, project, refine, refine_cells
+from oracle import (graph_from_mask, is_equitable, random_permutation,
+                    reference_refine_cells, refine)
+from autotree.refine import individualize, project, refine_cells
 
 
 @st.composite
@@ -81,6 +88,118 @@ def test_individualize_then_refine_keeps_singleton(g, rnd):
     out = refine_cells(g.adj, cells, active=[at])
     assert (v,) in out
     assert is_equitable(g, Coloring(out))
+
+
+@st.composite
+def partitioned_graphs(draw, max_n=40):
+    """A random graph on up to max_n vertices, a random ordered partition of
+    them, and an active list: None, [] or distinct cell indices in random
+    order. Some draws spread the vertex ids out and pass a dict adjacency,
+    as the tree does for a carrier inside a larger graph."""
+    n = draw(st.integers(0, max_n))
+    rnd = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    density = rnd.random()
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if rnd.random() < density]
+    adj = Graph(n, edges).adj
+    shuffled = list(range(n))
+    rnd.shuffle(shuffled)
+    k = rnd.randint(1, n) if n else 0
+    cuts = [0] + sorted(rnd.sample(range(1, n), k - 1)) + [n] if n else [0]
+    cells = [shuffled[a:b] for a, b in zip(cuts, cuts[1:])]
+    if draw(st.booleans()):
+        ids = [3 * v + 7 for v in range(n)]
+        adj = {ids[v]: [ids[u] for u in adj[v]] for v in range(n)}
+        cells = [[ids[v] for v in cell] for cell in cells]
+    active = draw(st.sampled_from(["all", "none", "some"]))
+    if active == "all":
+        active = None
+    elif active == "none":
+        active = []
+    else:
+        active = rnd.sample(range(k), rnd.randint(0, k))
+    return adj, cells, active
+
+
+@settings(max_examples=400, deadline=None)
+@given(partitioned_graphs())
+def test_refine_cells_matches_reference(case):
+    adj, cells, active = case
+    got = refine_cells(adj, [list(c) for c in cells], active)
+    assert got == reference_refine_cells(adj, [list(c) for c in cells], active)
+
+
+def _bench_inputs():
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "inputs.py")
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bench_family_graphs():
+    inputs = _bench_inputs()
+    rng = random.Random("refine-families")
+    for n, edges in (inputs.random_cubic(rng, 30), inputs.paley(13),
+                     inputs.hypercube(4)):
+        yield Graph(n, inputs.relabel(rng, n, edges))
+
+
+@pytest.mark.parametrize("g", list(_bench_family_graphs()),
+                         ids=["cubic30", "paley13", "q4"])
+def test_refine_cells_matches_reference_on_bench_families(g):
+    # Two levels of the IR search: individualize each vertex of the first
+    # non-singleton cell, refine from the new singleton, and do the same
+    # again on each result.
+    level = [refine_cells(g.adj, unit_coloring(g.n).cells)]
+    calls = 0
+    for _ in range(2):
+        nxt = []
+        for cells in level:
+            target = next((c for c in cells if len(c) > 1), ())
+            for v in target:
+                child, at = individualize(cells, v)
+                got = refine_cells(g.adj, child, active=[at])
+                assert got == reference_refine_cells(g.adj, child, active=[at])
+                calls += 1
+                nxt.append(got)
+        level = nxt
+    assert calls >= g.n
+
+
+def test_refine_cells_is_near_linear_on_a_path():
+    # P_20000 with endpoint 0 individualized: every split step peels one
+    # vertex off the long cell. A step that walks the cells it touches, or
+    # the whole cell order, makes this quadratic.
+    n = 20000
+    g = Graph(n, [(v, v + 1) for v in range(n - 1)])
+    start = time.process_time()
+    out = refine_cells(g.adj, [list(range(1, n)), [0]], active=[1])
+    elapsed = time.process_time() - start
+    assert out == tuple((v,) for v in range(n - 1, 0, -1)) + ((0,),)
+    assert elapsed < 2.0
+
+
+def test_refine_cells_rejects_a_vertex_in_two_cells():
+    g = Graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="vertex 1 "):
+        refine_cells(g.adj, [[0, 1], [1, 2]])
+    with pytest.raises(ValueError, match="vertex 2 "):
+        refine_cells(g.adj, [[0, 1, 2, 2]])
+
+
+def test_refine_cells_rejects_active_outside_the_cells():
+    g = Graph(3, [(0, 1), (1, 2)])
+    for bad in (2, -1):
+        with pytest.raises(ValueError, match="index %d " % bad):
+            refine_cells(g.adj, [[0, 2], [1]], active=[0, bad])
+
+
+def test_refine_cells_rejects_an_empty_cell():
+    g = Graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="empty cell at index 1"):
+        refine_cells(g.adj, [[0, 2], [], [1]])
 
 
 def test_refine_idempotent(hub_graph):

@@ -13,11 +13,12 @@ from oracle import (
     brute_orbits,
     enumerate_graphs,
     graph_from_mask,
+    is_equitable,
     random_graph,
     random_permutation,
+    refine,
     sampled_graphs,
 )
-from autotree.refine import is_equitable, refine
 from autotree.tree import (
     INTERNAL,
     NON_SINGLETON_LEAF,
