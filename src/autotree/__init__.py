@@ -16,10 +16,7 @@ from .graphs import (
     InternalConsistencyError,
     ParseError,
     apply_permutation,
-    compose_permutations,
     format_cycles,
-    identity_permutation,
-    invert_permutation,
     load_dimacs,
     load_edge_list,
     load_graph,
@@ -56,14 +53,11 @@ __all__ = [
     "build",
     "canonical_form",
     "canonical_labeling_ir",
-    "compose_permutations",
     "count_set_images",
     "format_cycles",
     "generators",
     "group_order",
-    "identity_permutation",
     "individualize",
-    "invert_permutation",
     "load_dimacs",
     "load_edge_list",
     "load_graph",

@@ -11,8 +11,8 @@ import math
 
 from .graphs import InternalConsistencyError
 from .group import orbit_roots, order
-from .ssm import (equal_form_runs, images_within, run_families,
-                  sibling_correspondence, split_query)
+from .ssm import (images_within, run_families, sibling_correspondence,
+                  split_query)
 from .tree import INTERNAL, NON_SINGLETON_LEAF
 
 
@@ -60,7 +60,7 @@ def generators(at):
             for g in node.leaf_generators:
                 gens.append(_checked(graph, coloring, g, "leaf generator"))
         elif node.kind == INTERNAL:
-            for run in equal_form_runs(node.children):
+            for run in node.runs:
                 for a, b in zip(run, run[1:]):
                     move = sibling_correspondence(node.children[a],
                                                   node.children[b])
@@ -90,7 +90,7 @@ def group_order(at):
         if node.kind == NON_SINGLETON_LEAF:
             total *= order(node.leaf_generators, node.vertices)
         elif node.kind == INTERNAL:
-            for run in equal_form_runs(node.children):
+            for run in node.runs:
                 total *= math.factorial(len(run))
     return total
 
@@ -99,8 +99,7 @@ def _count(node, part):
     if node.kind != INTERNAL:
         return len(images_within(node, part))
     total = 1
-    parts = split_query(node, part)
-    for run in equal_form_runs(node.children):
+    for run, parts in split_query(node, part):
         free = len(run)
         for group in run_families(node, run, parts):
             total *= (math.comb(free, len(group))

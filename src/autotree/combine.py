@@ -60,13 +60,12 @@ def combine_cl_with_generators(graph, coloring):
 def combine_st(graph, coloring, children):
     """Labeling and certificate of an internal node from combined children.
 
-    Children are taken in sorted order; within each cell of the node's
-    coloring, vertices are ranked by (child position, label inside the
-    child) and offset by the cell's global position.
+    Children must come in combine order (sort_children); within each cell
+    of the node's coloring, vertices are ranked by (child position, label
+    inside the child) and offset by the cell's global position.
     """
-    order = sort_children(children)
     key = {}
-    for pos, child in enumerate(order):
+    for pos, child in enumerate(children):
         for v, label in child.gamma.items():
             key[v] = (pos, label)
     gamma = ranked_gamma(coloring, lambda v: key[v])

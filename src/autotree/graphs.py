@@ -69,22 +69,6 @@ def apply_permutation(graph, gamma):
     return Graph(graph.n, [(gamma[u], gamma[v]) for u, v in graph.edges()])
 
 
-def identity_permutation(n):
-    return list(range(n))
-
-
-def invert_permutation(gamma):
-    inv = [0] * len(gamma)
-    for v, img in enumerate(gamma):
-        inv[img] = v
-    return inv
-
-
-def compose_permutations(outer, inner):
-    """Permutation applying inner first, then outer."""
-    return [outer[inner[v]] for v in range(len(inner))]
-
-
 def format_cycles(gamma):
     """Cycle notation with fixed points omitted, e.g. "(0,2)(4,5,6)".
 

@@ -7,6 +7,10 @@ are interchangeable: the query parts on such a run are grouped by their
 image family, carried onto the run's first child, and each group takes an
 unordered set of siblings with one family image per part. Every image keeps
 a witness map from the query, and ssm re-checks each one against the graph.
+
+Runs are computed once, at build (AutoTreeNode.runs). The first query that
+reaches an internal node caches there each vertex's child and run, so later
+queries split in O(|q|) and visit only the runs and children they touch.
 """
 
 import itertools
@@ -21,17 +25,6 @@ def sibling_correspondence(src, dst):
     vertices that carry the same label."""
     back = {label: v for v, label in dst.gamma.items()}
     return {v: back[label] for v, label in src.gamma.items()}
-
-
-def equal_form_runs(children):
-    """Indices of maximal blocks of adjacent children with equal forms."""
-    runs = []
-    for i, child in enumerate(children):
-        if runs and children[runs[-1][-1]].form.key == child.form.key:
-            runs[-1].append(i)
-        else:
-            runs.append([i])
-    return runs
 
 
 def sm_leaf(node, q):
@@ -50,9 +43,22 @@ def sm_leaf(node, q):
 
 
 def split_query(node, q):
-    """The nonempty parts of q in node's children, by child index."""
-    return {i: part for i, child in enumerate(node.children)
-            if (part := q.intersection(child.vertices))}
+    """The nonempty parts of q in an internal node's children, as a list of
+    (run, parts) in ascending run order: parts maps each child index of the
+    run that q touches, in ascending order, to its part of q. The first call
+    on a node builds and caches its vertex index."""
+    index = node.index
+    if index is None:
+        index = node.index = {}
+        for r, run in enumerate(node.runs):
+            for i in run:
+                index.update(dict.fromkeys(node.children[i].vertices, (i, r)))
+    by_run = {}
+    for v in q:
+        i, r = index[v]
+        by_run.setdefault(r, {}).setdefault(i, []).append(v)
+    return [(node.runs[r], {i: frozenset(parts[i]) for i in sorted(parts)})
+            for r, parts in sorted(by_run.items())]
 
 
 def _carry(family, move):
@@ -64,7 +70,8 @@ def _carry(family, move):
 
 def run_families(node, run, parts):
     """The query parts on a run of interchangeable siblings, grouped by
-    image family.
+    image family. parts maps child indices of the run to their parts, in
+    ascending order.
 
     Each part's images within its child are carried onto the run's first
     child. Parts whose carried families hold the same images form a group;
@@ -75,10 +82,8 @@ def run_families(node, run, parts):
     """
     first = node.children[run[0]]
     groups = {}
-    for i in run:
-        if i not in parts:
-            continue
-        family = images_within(node.children[i], parts[i])
+    for i, part in parts.items():
+        family = images_within(node.children[i], part)
         if i != run[0]:
             family = _carry(family, sibling_correspondence(node.children[i],
                                                            first))
@@ -102,11 +107,8 @@ def images_within(node, q):
         return sm_leaf(node, q)
 
     children = node.children
-    parts = split_query(node, q)
     total = {frozenset(): {}}
-    for run in equal_form_runs(children):
-        if parts.keys().isdisjoint(run):
-            continue
+    for run, parts in split_query(node, q):
         groups = run_families(node, run, parts)
         first = children[run[0]]
         moves = {t: sibling_correspondence(first, children[t]) for t in run}

@@ -62,8 +62,14 @@ class Subgraph:
 
 
 class AutoTreeNode:
+    """A tree node. An internal node's runs are the maximal blocks of
+    adjacent equal-certificate (interchangeable) children, as ranges of
+    child indices, set once the children are sorted. Its index stays None
+    until the first query reaches it; ssm then caches there each vertex's
+    (child index, run index)."""
+
     __slots__ = ("graph", "coloring", "kind", "children", "axis", "gamma",
-                 "form", "leaf_generators")
+                 "form", "leaf_generators", "runs", "index")
 
     def __init__(self, graph, coloring):
         self.graph = graph
@@ -74,6 +80,8 @@ class AutoTreeNode:
         self.gamma = None
         self.form = None
         self.leaf_generators = []
+        self.runs = ()
+        self.index = None
 
     @property
     def vertices(self):
@@ -255,6 +263,15 @@ def _grow(node):
         stack.extend(_divide_node(stack.pop()))
 
 
+def equal_form_runs(children):
+    """Maximal blocks of adjacent children with equal forms, as ranges of
+    child indices."""
+    keys = [child.form.key for child in children]
+    cuts = [i for i in range(1, len(keys)) if keys[i] != keys[i - 1]]
+    bounds = [0, *cuts, len(keys)] if keys else []
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 def _combine_node(node):
     if node.kind == SINGLETON_LEAF:
         v = node.vertices[0]
@@ -264,6 +281,7 @@ def _combine_node(node):
             node.graph, node.coloring)
     else:
         node.children = sort_children(node.children)
+        node.runs = equal_form_runs(node.children)
         node.gamma, node.form = combine_st(node.graph, node.coloring, node.children)
 
 
@@ -424,6 +442,8 @@ def expand_structural_equivalence(at_s, classes):
                 nch = clone(ch)
                 new.children.append(nch)
                 stack.append((ch, nch))
+    for node in root.walk():
+        node.runs = equal_form_runs(node.children)
     return AutoTree(root, at_s.graph, at_s.coloring, root.coloring, True)
 
 

@@ -7,7 +7,9 @@ of this is wired into the CLI.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import os
 import random
 from collections import deque
 
@@ -249,6 +251,45 @@ def brute_ssm(graph, q, coloring=None, limit=BRUTE_LIMIT):
             raise ValueError("query vertex %d out of range" % v)
     return {frozenset(gamma[v] for v in q)
             for gamma in brute_aut(graph, coloring, limit)}
+
+
+def reference_equal_form_runs(children):
+    """The per-query run computation that the runs cached at combine time
+    replaced: indices of maximal blocks of adjacent children with equal
+    forms, as lists."""
+    runs = []
+    for i, child in enumerate(children):
+        if runs and children[runs[-1][-1]].form.key == child.form.key:
+            runs[-1].append(i)
+        else:
+            runs.append([i])
+    return runs
+
+
+def identity_permutation(n):
+    return list(range(n))
+
+
+def invert_permutation(gamma):
+    inv = [0] * len(gamma)
+    for v, img in enumerate(gamma):
+        inv[img] = v
+    return inv
+
+
+def compose_permutations(outer, inner):
+    """Permutation applying inner first, then outer."""
+    return [outer[inner[v]] for v in range(len(inner))]
+
+
+def bench_inputs():
+    """The benchmark's graph generators (bench/inputs.py), loaded by path."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "inputs.py")
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def closure_order(n, gens):

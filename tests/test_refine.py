@@ -1,5 +1,3 @@
-import importlib.util
-import os
 import random
 import time
 
@@ -7,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from autotree.graphs import Coloring, Graph, apply_permutation, unit_coloring
-from oracle import (graph_from_mask, is_equitable, random_permutation,
-                    reference_refine_cells, refine)
+from oracle import (bench_inputs, graph_from_mask, is_equitable,
+                    random_permutation, reference_refine_cells, refine)
 from autotree.refine import individualize, project, refine_cells
 
 
@@ -129,17 +127,8 @@ def test_refine_cells_matches_reference(case):
     assert got == reference_refine_cells(adj, [list(c) for c in cells], active)
 
 
-def _bench_inputs():
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "bench", "inputs.py")
-    spec = importlib.util.spec_from_file_location("bench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _bench_family_graphs():
-    inputs = _bench_inputs()
+    inputs = bench_inputs()
     rng = random.Random("refine-families")
     for n, edges in (inputs.random_cubic(rng, 30), inputs.paley(13),
                      inputs.hypercube(4)):

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from autotree.automorphisms import count_set_images, generators
 from autotree.cli import main
-from autotree.graphs import Graph, InternalConsistencyError, apply_permutation
+from autotree.graphs import (CanonicalForm, Coloring, Graph,
+                             InternalConsistencyError, apply_permutation)
 from autotree.group import set_orbit
 from oracle import (
     brute_aut,
@@ -217,3 +218,78 @@ def test_matches_oracle_property(case):
     g, q = case
     at = build(g, reduce=False)
     assert ssm(g, q, at) == brute_ssm(g, q)
+
+
+class IndexOnly(list):
+    """A child list that may be indexed but not walked."""
+
+    def __iter__(self):
+        raise AssertionError("walked every child of a node")
+
+
+def test_query_visits_only_the_runs_it_touches(monkeypatch):
+    # 10,000 isolated vertices, each its own color: the root has 10,000
+    # children, each alone in its run.
+    n = 10000
+    g = Graph(n, [])
+    at = build(g, Coloring([[v] for v in range(n)]), reduce=False)
+    assert len(at.root.children) == n
+    assert ssm(g, {n - 1}, at) == {frozenset({n - 1})}
+
+    at.root.children = IndexOnly(at.root.children)
+    key_reads = []
+    key = CanonicalForm.key
+    monkeypatch.setattr(CanonicalForm, "key", property(
+        lambda form: key_reads.append(form) or key.fget(form)))
+    module = importlib.import_module("autotree.ssm")
+    calls = []
+
+    def counted(node, q, images_within=module.images_within):
+        calls.append(node)
+        return images_within(node, q)
+
+    monkeypatch.setattr(module, "images_within", counted)
+    q = {0}
+    assert ssm(g, q, at) == {frozenset(q)}
+    assert key_reads == []
+    assert len(calls) <= len(q) * (at.stats["depth"] + 1)
+
+
+@st.composite
+def colored_graph_and_query(draw):
+    """A colored graph on 9-40 vertices, either G(n, p) or equally colored
+    copies of a small random graph hung off a hub (so that runs of equal
+    siblings occur), plus a query of 1-4 vertices."""
+    rnd = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(min_value=9, max_value=40))
+    colors = rnd.randint(1, 3)
+    color_of = [rnd.randrange(colors) for _ in range(n)]
+    if draw(st.booleans()):
+        g = random_graph(rnd, n, rnd.choice([0.1, 0.2, 0.4, 0.7]))
+    else:
+        size = rnd.randint(2, 6)
+        copies = min(rnd.randint(2, 6), (n - 1) // size)
+        piece = random_graph(rnd, size, 0.5).edges()
+        edges = [(c * size + u, c * size + v) for c in range(copies)
+                 for u, v in piece]
+        hub = copies * size
+        edges += [(c * size, hub) for c in range(copies)]
+        edges += [(u, v) for u in range(hub + 1, n) for v in range(u + 1, n)
+                  if rnd.random() < 0.3]
+        g = Graph(n, edges)
+        color_of[:hub] = color_of[:size] * copies
+    cells = [[v for v in range(n) if color_of[v] == c] for c in range(colors)]
+    coloring = Coloring([cell for cell in cells if cell])
+    q = draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                      min_size=1, max_size=4, unique=True))
+    return g, coloring, set(q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(colored_graph_and_query())
+def test_matches_generator_closure_beyond_the_oracle(case):
+    g, coloring, q = case
+    at = build(g, coloring, reduce=False)
+    result = ssm(g, q, at)
+    assert result == set(set_orbit(q, generators(at), range(g.n)))
+    assert count_set_images(at, q) == len(result)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from autotree.graphs import Coloring, Graph, apply_permutation, unit_coloring
 from oracle import (
+    bench_inputs,
     brute_aut,
     brute_canon,
     brute_canon_class_map,
@@ -16,9 +17,11 @@ from oracle import (
     is_equitable,
     random_graph,
     random_permutation,
+    reference_equal_form_runs,
     refine,
     sampled_graphs,
 )
+from autotree.ssm import split_query
 from autotree.tree import (
     INTERNAL,
     NON_SINGLETON_LEAF,
@@ -417,3 +420,34 @@ def test_division_counters_stay_linear():
         ops = {}
         divide_s(Subgraph.whole(g), col, ops)
         assert ops["steps"] <= budget
+
+
+def run_cache_corpus():
+    """The oracle corpus plus small graphs of the three benchmark families,
+    relabeled; heavy-tail and ssm-query graphs carry twins, so reduction
+    collapses and regrows them."""
+    yield from enumerate_graphs(4)
+    yield from sampled_graphs(7, 60, seed=17)
+    inputs = bench_inputs()
+    rng = random.Random("run-cache")
+    for n, edges in (inputs.heavy_tail_graph(rng, 80), inputs.cocktail_party(4),
+                     inputs.paley(13), inputs.random_cubic(rng, 20),
+                     inputs.hypercube(4), inputs.ssm_graph(rng)[:2]):
+        yield Graph(n, inputs.relabel(rng, n, edges))
+
+
+def test_cached_runs_and_lazy_index_match_the_children():
+    for g in run_cache_corpus():
+        for flag in (False, True):
+            for node in build(g, reduce=flag).nodes():
+                if node.kind != INTERNAL:
+                    continue
+                assert [list(run) for run in node.runs] == \
+                    reference_equal_form_runs(node.children)
+                assert node.index is None
+                split_query(node, frozenset(node.vertices[:1]))
+                assert len(node.index) == len(node.vertices)
+                for r, run in enumerate(node.runs):
+                    for i in run:
+                        for v in node.children[i].vertices:
+                            assert node.index[v] == (i, r)
