@@ -25,12 +25,8 @@ from .graphs import (
 from .labeler import canonical_labeling_ir
 from .refine import individualize
 from .ssm import sm_leaf, ssm, ssm_with_witnesses
-from .tree import AutoTree, AutoTreeNode, build, to_dot, tree_stats
-
-
-def canonical_form(graph, coloring=None, reduce=True):
-    """Certificate of a colored graph: equal exactly for isomorphic inputs."""
-    return build(graph, coloring, reduce=reduce).root_form()
+from .tree import (AutoTree, AutoTreeNode, build, canonical_form, to_dot,
+                   tree_stats)
 
 
 def are_isomorphic(graph_a, graph_b, coloring_a=None, coloring_b=None):

@@ -22,7 +22,7 @@ from .graphs import (
     load_graph,
 )
 from .ssm import ssm, ssm_with_witnesses
-from .tree import build, to_dot, tree_stats
+from .tree import build, canonical_form, to_dot, tree_stats
 
 
 def _load(args, path):
@@ -42,8 +42,8 @@ def _load_query(path):
 
 def cmd_canon(args):
     graph, coloring = _load(args, args.graph)
-    at = build(graph, coloring, reduce=not args.no_reduce)
-    sys.stdout.write(at.root_form().serialize())
+    form = canonical_form(graph, coloring, reduce=not args.no_reduce)
+    sys.stdout.write(form.serialize())
     return 0
 
 
@@ -51,8 +51,8 @@ def cmd_iso(args):
     graph_a, coloring_a = _load(args, args.graph_a)
     graph_b, coloring_b = _load(args, args.graph_b)
     reduce_flag = not args.no_reduce
-    form_a = build(graph_a, coloring_a, reduce=reduce_flag).root_form()
-    form_b = build(graph_b, coloring_b, reduce=reduce_flag).root_form()
+    form_a = canonical_form(graph_a, coloring_a, reduce=reduce_flag)
+    form_b = canonical_form(graph_b, coloring_b, reduce=reduce_flag)
     if form_a == form_b:
         print("ISOMORPHIC")
         return 0

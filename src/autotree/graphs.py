@@ -51,9 +51,6 @@ class Graph:
     def has_edge(self, u, v):
         return v in self.adj[u]
 
-    def degree(self, v):
-        return len(self.adj[v])
-
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
@@ -138,13 +135,6 @@ class Coloring:
 
     def is_discrete(self):
         return all(len(c) == 1 for c in self.cells)
-
-    def is_unit(self):
-        return len(self.cells) <= 1
-
-    def apply(self, gamma):
-        """The coloring pi^gamma, which colors v^gamma the way pi colors v."""
-        return Coloring([[gamma[v] for v in cell] for cell in self.cells])
 
     def __eq__(self, other):
         return isinstance(other, Coloring) and self.cells == other.cells

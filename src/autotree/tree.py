@@ -8,14 +8,16 @@ components. A node neither step can split becomes a non-singleton leaf and
 is handed to the base labeler; the combine pass then assembles labelings
 bottom-up, children sorted by certificate.
 
-Structural-equivalence reduction (on by default in build) collapses
-same-cell vertices with identical open neighborhoods to one representative,
-builds the tree on the reduced graph, and regrows it afterwards. Reduced
-trees carry valid certificates but are not suitable for automorphism
-extraction; the automorphisms module refuses them.
+Structural-equivalence reduction (on by default) collapses same-cell
+vertices with identical open neighborhoods to one representative and builds
+the tree on the reduced graph. build regrows the whole tree, for tree-stats
+and --dot; canonical_form (canon, iso) regrows only the root. Reduced trees
+carry valid certificates but are not suitable for automorphism extraction;
+the automorphisms module refuses them.
 """
 
 from collections import deque
+from functools import cached_property
 from hashlib import sha1
 
 from .combine import (certificate, combine_cl_with_generators, combine_st,
@@ -53,12 +55,9 @@ class Subgraph:
     def edges(self):
         return [(v, u) for v in self.vertices for u in self.adj[v] if v < u]
 
-    @property
-    def edge_count(self):
-        return sum(len(ns) for ns in self.adj.values()) // 2
-
     def __repr__(self):
-        return "Subgraph(%d vertices, %d edges)" % (len(self.vertices), self.edge_count)
+        return "Subgraph(%d vertices, %d edges)" % (
+            len(self.vertices), sum(map(len, self.adj.values())) // 2)
 
 
 class AutoTreeNode:
@@ -110,7 +109,10 @@ class AutoTree:
         self.coloring = coloring
         self.root_coloring = root_coloring
         self.reduced = reduced
-        self.stats = tree_stats(self)
+
+    @cached_property
+    def stats(self):
+        return tree_stats(self)
 
     def nodes(self):
         return list(self.root.walk()) if self.root is not None else []
@@ -306,26 +308,40 @@ def _build_carrier(sub, coloring, graph, input_coloring):
     return AutoTree(root, graph, input_coloring, root_coloring, False)
 
 
-def build(graph, coloring=None, reduce=True):
-    """Build the tree of a colored graph.
-
-    reduce (default on) applies the structural-equivalence reduction when it
-    finds collapsible twins; certificates stay sound either way, but trees
-    where reduction collapsed anything refuse automorphism extraction.
-    """
+def _build_tree(graph, coloring, reduce):
+    """The tree of a colored graph, plus the class table if it was built on
+    the reduced graph (else None)."""
     if coloring is None:
         coloring = unit_coloring(graph.n)
     if coloring.size != graph.n:
         raise ValueError("coloring covers %d vertices, graph has %d"
                          % (coloring.size, graph.n))
     if graph.n == 0:
-        return AutoTree(None, graph, coloring, coloring, False)
+        return AutoTree(None, graph, coloring, coloring, False), None
     if reduce:
         gs, ps, classes = reduce_structural_equivalence(graph, coloring)
         if any(len(members) > 1 for members in classes.values()):
-            at_s = _build_carrier(gs, ps, graph, coloring)
-            return expand_structural_equivalence(at_s, classes)
-    return _build_carrier(Subgraph.whole(graph), coloring, graph, coloring)
+            return _build_carrier(gs, ps, graph, coloring), classes
+    return _build_carrier(Subgraph.whole(graph), coloring, graph, coloring), None
+
+
+def build(graph, coloring=None, reduce=True):
+    """Build the tree of a colored graph.
+
+    reduce (default on) applies the structural-equivalence reduction when it
+    finds collapsible twins, then regrows every node for tree-stats and
+    --dot; certificates stay sound either way, but trees where reduction
+    collapsed anything refuse automorphism extraction.
+    """
+    at, classes = _build_tree(graph, coloring, reduce)
+    return at if classes is None else expand_structural_equivalence(at, classes)
+
+
+def canonical_form(graph, coloring=None, reduce=True):
+    """Certificate of a colored graph: equal exactly for isomorphic inputs.
+    The root form of build(graph, coloring, reduce), regrowing only the root."""
+    at, classes = _build_tree(graph, coloring, reduce)
+    return at.root_form() if classes is None else _regrow_root(at, classes)[0].form
 
 
 def reduce_structural_equivalence(graph, coloring):
@@ -362,21 +378,57 @@ def reduce_structural_equivalence(graph, coloring):
     return gs, ps, classes
 
 
-def _expand_subgraph(old, classes):
-    adj = {}
-    for v in old.vertices:
-        nbrs = [x for u in old.adj[v] for x in classes[u]]
-        for x in classes[v]:
-            adj[x] = nbrs
-    return Subgraph(adj.keys(), adj)
-
-
 def _expand_cells(cells, classes):
     return [sorted(x for v in cell for x in classes[v]) for cell in cells]
 
 
+def _clone(old, classes, pos):
+    """The expanded copy of a reduced node, without children."""
+    adj = {}
+    for v in old.vertices:
+        nbrs = [x for u in old.graph.adj[v] for x in classes[u]]
+        adj.update(dict.fromkeys(classes[v], nbrs))
+    graph = Subgraph(adj.keys(), adj)
+    coloring = Coloring(_expand_cells(old.coloring.cells, classes),
+                        global_pos={x: pos[x] for x in graph.vertices})
+    node = AutoTreeNode(graph, coloring)
+    node.kind = old.kind
+    node.axis = old.axis
+    rank = {x: (label, x) for v, label in old.gamma.items() for x in classes[v]}
+    node.gamma = ranked_gamma(coloring, rank.__getitem__)
+    node.form = certificate(graph, coloring, node.gamma)
+    return node
+
+
+def _twin_leaf(x, pos):
+    node = AutoTreeNode(Subgraph((x,), {x: ()}),
+                        Coloring([[x]], global_pos={x: pos[x]}))
+    node.kind = SINGLETON_LEAF
+    node.gamma, node.form = singleton_form(x, pos[x])
+    return node
+
+
+def _regrow_root(at_s, classes):
+    """The expanded root of a reduced tree, labeled and certified, plus each
+    original vertex's global position, which regrows the nodes below it."""
+    pos = Coloring(_expand_cells(at_s.root_coloring.cells, classes)).global_pos
+    old_root = at_s.root
+    members = classes[old_root.vertices[0]]
+    if old_root.kind != SINGLETON_LEAF or len(members) == 1:
+        return _clone(old_root, classes, pos), pos
+    root = AutoTreeNode(Subgraph(members, dict.fromkeys(members, ())),
+                        Coloring([members], global_pos=pos))
+    root.kind = INTERNAL
+    root.axis = ("twin_expansion", members)
+    root.children = [_twin_leaf(x, pos) for x in members]
+    root.gamma = ranked_gamma(root.coloring, lambda x: x)
+    root.form = certificate(root.graph, root.coloring, root.gamma)
+    return root, pos
+
+
 def expand_structural_equivalence(at_s, classes):
-    """Regrow a tree built on the reduced graph to cover the original.
+    """Regrow a tree built on the reduced graph to cover the original, every
+    node of it; canonical_form regrows only the root (_regrow_root).
 
     Every node's carrier is expanded through the class table, with adjacency
     copied from representatives (classmates are never adjacent to each
@@ -393,55 +445,17 @@ def expand_structural_equivalence(at_s, classes):
     coloring. Axis descriptors keep the reduced vertex ids they were
     computed from.
     """
-    rep_of = {x: rep for rep, members in classes.items() for x in members}
-
-    pos = {}
-    offset = 0
-    for cell in _expand_cells(at_s.root_coloring.cells, classes):
-        for x in cell:
-            pos[x] = offset
-        offset += len(cell)
-
-    def clone(old):
-        graph = _expand_subgraph(old.graph, classes)
-        coloring = Coloring(_expand_cells(old.coloring.cells, classes),
-                            global_pos={x: pos[x] for x in graph.vertices})
-        node = AutoTreeNode(graph, coloring)
-        node.kind = old.kind
-        node.axis = old.axis
-        node.gamma = ranked_gamma(coloring, lambda x: (old.gamma[rep_of[x]], x))
-        node.form = certificate(graph, coloring, node.gamma)
-        return node
-
-    def twin_leaf(x):
-        node = AutoTreeNode(Subgraph((x,), {x: ()}),
-                            Coloring([[x]], global_pos={x: pos[x]}))
-        node.kind = SINGLETON_LEAF
-        node.gamma, node.form = singleton_form(x, pos[x])
-        return node
-
-    old_root = at_s.root
-    if old_root.kind == SINGLETON_LEAF and len(classes[old_root.vertices[0]]) > 1:
-        members = classes[old_root.vertices[0]]
-        coloring = Coloring([members], global_pos={x: pos[x] for x in members})
-        root = AutoTreeNode(Subgraph(members, {x: () for x in members}), coloring)
-        root.kind = INTERNAL
-        root.axis = ("twin_expansion", members)
-        root.children = [twin_leaf(x) for x in members]
-        root.gamma = ranked_gamma(coloring, lambda x: x)
-        root.form = certificate(root.graph, coloring, root.gamma)
-    else:
-        root = clone(old_root)
-        stack = [(old_root, root)]
-        while stack:
-            old, new = stack.pop()
-            for ch in old.children:
-                if ch.kind == SINGLETON_LEAF and len(classes[ch.vertices[0]]) > 1:
-                    new.children.extend(twin_leaf(x) for x in classes[ch.vertices[0]])
-                    continue
-                nch = clone(ch)
-                new.children.append(nch)
-                stack.append((ch, nch))
+    root, pos = _regrow_root(at_s, classes)
+    stack = [(at_s.root, root)]
+    while stack:
+        old, new = stack.pop()
+        for ch in old.children:
+            if ch.kind == SINGLETON_LEAF and len(classes[ch.vertices[0]]) > 1:
+                new.children.extend(_twin_leaf(x, pos) for x in classes[ch.vertices[0]])
+                continue
+            nch = _clone(ch, classes, pos)
+            new.children.append(nch)
+            stack.append((ch, nch))
     for node in root.walk():
         node.runs = equal_form_runs(node.children)
     return AutoTree(root, at_s.graph, at_s.coloring, root.coloring, True)

@@ -266,6 +266,19 @@ def reference_equal_form_runs(children):
     return runs
 
 
+def degree(graph, v):
+    return len(graph.adj[v])
+
+
+def is_unit(coloring):
+    return len(coloring.cells) <= 1
+
+
+def permute_coloring(coloring, gamma):
+    """The coloring pi^gamma, which colors v^gamma the way pi colors v."""
+    return Coloring([[gamma[v] for v in cell] for cell in coloring.cells])
+
+
 def identity_permutation(n):
     return list(range(n))
 

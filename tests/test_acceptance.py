@@ -16,6 +16,7 @@ import pytest
 from autotree import build, canonical_form, generators, group_order, orbits
 from autotree.graphs import Coloring, Graph, apply_permutation, load_edge_list
 from oracle import (
+    bench_inputs,
     brute_aut,
     brute_canon_class_map,
     brute_group_order,
@@ -210,6 +211,28 @@ def test_criterion_7_ssm_exactness(corpus, mirror_graph):
     # an image is {a, a+1, b} for an ordered pair (a, b) of distinct corners
     # of one triangle: 6 ordered pairs per triangle x 2 mirrored branches
     assert len(images) == 12, sorted(map(sorted, images))
+
+
+def test_certificates_invariant_under_relabeling_at_scale():
+    """Aim 3 above the oracle's reach: a 3,000-vertex heavy-tail graph keeps
+    one certificate under relabeling, with and without reduction, and moving
+    one edge changes it."""
+    inputs = bench_inputs()
+    rng = random.Random("relabel-at-scale")
+    n, edges = inputs.heavy_tail_graph(rng, 3000)
+    copies = [Graph(n, edges)] + [Graph(n, inputs.relabel(rng, n, edges))
+                                  for _ in range(3)]
+    # Move one edge (u, v) to (u, w) with deg(w) != deg(v) - 1: the degree
+    # sequence changes, so the result is not isomorphic to the original.
+    g = copies[0]
+    u, v = edges[-1]
+    w = next(x for x in range(n) if x != u and not g.has_edge(u, x)
+             and len(g.adj[x]) != len(g.adj[v]) - 1)
+    moved = Graph(n, [e for e in edges if e != (u, v)] + [(u, w)])
+    for flag in (True, False):
+        forms = {canonical_form(h, reduce=flag) for h in copies}
+        assert len(forms) == 1, flag
+        assert canonical_form(moved, reduce=flag) not in forms, flag
 
 
 def test_criterion_8_dataset_scale_stretch():

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from autotree.graphs import Coloring, Graph, apply_permutation, unit_coloring
 from oracle import (bench_inputs, graph_from_mask, is_equitable,
-                    random_permutation, reference_refine_cells, refine)
+                    permute_coloring, random_permutation,
+                    reference_refine_cells, refine)
 from autotree.refine import individualize, project, refine_cells
 
 
@@ -69,7 +70,7 @@ def test_refine_equivariance(g, rnd):
         return
     gamma = random_permutation(rnd, g.n)
     h = apply_permutation(g, gamma)
-    ours = refine(g, unit_coloring(g.n)).apply(gamma)
+    ours = permute_coloring(refine(g, unit_coloring(g.n)), gamma)
     theirs = refine(h, unit_coloring(h.n))
     assert ours.cells == theirs.cells
 

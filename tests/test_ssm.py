@@ -235,6 +235,9 @@ def test_query_visits_only_the_runs_it_touches(monkeypatch):
     at = build(g, Coloring([[v] for v in range(n)]), reduce=False)
     assert len(at.root.children) == n
     assert ssm(g, {n - 1}, at) == {frozenset({n - 1})}
+    # stats is computed on first read, by a walk of every node: read it
+    # before the children are made unwalkable.
+    assert at.stats["depth"] == 1
 
     at.root.children = IndexOnly(at.root.children)
     key_reads = []

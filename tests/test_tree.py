@@ -3,8 +3,11 @@ the structural-equivalence toggle."""
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import autotree.tree
+from autotree import canonical_form
 from autotree.graphs import Coloring, Graph, apply_permutation, unit_coloring
 from oracle import (
     bench_inputs,
@@ -451,3 +454,61 @@ def test_cached_runs_and_lazy_index_match_the_children():
                     for i in run:
                         for v in node.children[i].vertices:
                             assert node.index[v] == (i, r)
+
+
+def random_colored_graphs(count, seed):
+    """Random graphs on up to 12 vertices with up to three random cells;
+    the colorings keep many of them reducible."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(1, 13)
+        g = random_graph(rng, n, rng.choice([0.1, 0.3, 0.6]))
+        cells = {}
+        for v in range(n):
+            cells.setdefault(rng.randrange(3), []).append(v)
+        yield g, Coloring([cells[c] for c in sorted(cells)])
+
+
+def canonical_form_corpus(hub_graph):
+    for n in range(6):
+        for g in enumerate_graphs(n):
+            yield g, None
+    for g in sampled_graphs(6, 200, seed=606):
+        yield g, None
+    yield from random_colored_graphs(200, seed=607)
+    yield Graph(3, []), None
+    yield Graph(0, []), None
+    yield hub_graph, None
+
+
+def test_canonical_form_equals_the_regrown_root(hub_graph):
+    reduced = 0
+    for g, c in canonical_form_corpus(hub_graph):
+        at = build(g, c, reduce=True)
+        reduced += at.reduced
+        assert canonical_form(g, c) == at.root_form(), (g.edges(), c)
+        assert canonical_form(g, c, reduce=False) == \
+            build(g, c, reduce=False).root_form()
+    assert reduced > 100
+
+
+def test_canonical_form_never_regrows_the_whole_tree(monkeypatch, hub_graph):
+    def refuse(*args):
+        raise AssertionError("canonical_form regrew the whole tree")
+
+    expected = [(g, c, build(g, c).root_form()) for g, c in
+                ((hub_graph, None), (Graph(3, []), None), (STAR, None),
+                 (Graph(4, []), Coloring([[0, 1], [2, 3]])))]
+    monkeypatch.setattr(autotree.tree, "expand_structural_equivalence", refuse)
+    for g, c, form in expected:
+        assert canonical_form(g, c) == form
+
+
+@pytest.mark.parametrize("flag", [False, True])
+def test_wrong_size_coloring_is_rejected(flag):
+    g = Graph(3, [(0, 1)])
+    for coloring in (Coloring([[0, 1]]), Coloring([[0, 1], [2, 3]])):
+        with pytest.raises(ValueError):
+            canonical_form(g, coloring, reduce=flag)
+        with pytest.raises(ValueError):
+            build(g, coloring, reduce=flag)
